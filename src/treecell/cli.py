@@ -24,8 +24,9 @@ from .config import ExperimentConfig, emit_config, load_config
 from .fitness import EvalContext, _eval_in_worker, _init_worker, stable_seed
 from .genetic import tree_distance
 from .grammar import parse, read_population, serialize
-from .network import build_network, heterogeneous_layer, NetworkSpec
+from .network import heterogeneous_layer
 from .speciation import SpeciationState
+from .training import TrainingDiverged
 from .tree import validate as validate_tree
 
 
@@ -201,6 +202,8 @@ def cmd_train(args) -> int:
         ctx = EvalContext(config)
         curve = ctx.train_genome(serialize(genome), epochs=config.train.epochs,
                                  seed=config.seed)
+    except TrainingDiverged as exc:
+        return _fail(f"training diverged at epoch {exc.epoch}, batch {exc.batch}")
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     seconds = curve.seconds if args.timing else [0.0] * len(curve.metrics)
@@ -242,29 +245,9 @@ def cmd_hetero(args) -> int:
         trees = [genomes[c] for c in chosen]
         layers = [heterogeneous_layer(range(slots), cardinality)
                   for _ in range(config.network.layers)]
-        if ctx.task.kind == "tokens":
-            spec = NetworkSpec(layers, config.network.embedding_dim,
-                               vocab_size=ctx.task.vocab_size, head="softmax")
-        else:
-            spec = NetworkSpec(layers, 0, io_dim=ctx.task.io_dim, head="sigmoid")
-        net_seed = stable_seed(config.seed, i, *chosen)
-        net = build_network(spec, trees,
-                            np.random.Generator(np.random.PCG64(net_seed)),
-                            dtype=ctx.dtype)
-        from .training import TrainConfig, TrainingDiverged, train
-
-        cfg = TrainConfig(unroll_steps=config.train.unroll_steps,
-                          batch_size=config.train.batch_size,
-                          optimizer=config.train.optimizer, lr=config.train.lr,
-                          lr_decay=config.train.lr_decay,
-                          decay_after_epoch=config.train.decay_after_epoch,
-                          dropout_ff=config.train.dropout_ff,
-                          dropout_rec=config.train.dropout_rec,
-                          l2=config.train.l2,
-                          grad_clip_norm=config.train.grad_clip_norm,
-                          epochs=config.evolution.partial_epochs, seed=net_seed)
         try:
-            curve = train(net, ctx.task, cfg)
+            curve = ctx.train_layers(layers, trees, stable_seed(config.seed, i, *chosen),
+                                     epochs=config.evolution.partial_epochs)
             fitness = (1.0 - curve.final() if curve.metric_name == "f1"
                        else curve.final())
         except TrainingDiverged:
@@ -341,7 +324,7 @@ def cmd_meta(args) -> int:
     else:
         return _fail("provide --curve v1,...,v10")
     try:
-        prediction = meta.predict_final(model, values)
+        prediction = model.predict(values)
     except ValueError as exc:
         return _fail(str(exc))
     print(prediction)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,8 +157,7 @@ def genome_key(tree: NodeTree) -> str:
 
 
 def evaluate_generation(population, evaluator, records, fitness_mode,
-                        partial_epochs, workers: int = 1,
-                        keys=None, pool=None) -> dict[str, FitnessRecord]:
+                        partial_epochs, keys=None, pool=None) -> dict[str, FitnessRecord]:
     """Fill the record cache for every genome in ``population``.
 
     Identical genomes (same canonical text) share one record and are never
@@ -171,13 +169,8 @@ def evaluate_generation(population, evaluator, records, fitness_mode,
     """
     keys = keys if keys is not None else [genome_key(g) for g in population]
     pending = sorted({k for k in keys if k not in records})
-    if pool is not None and len(pending) > 1:
-        curves = list(pool.map(evaluator, pending))
-        results = dict(zip(pending, curves))
-    elif workers > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as local_pool:
-            curves = list(local_pool.map(evaluator, pending))
-        results = dict(zip(pending, curves))
+    if pool is not None:
+        results = dict(zip(pending, pool.map(evaluator, pending)))
     else:
         results = {k: evaluator(k) for k in pending}
     for key, curve in results.items():
@@ -339,7 +332,7 @@ def _tournament(member_keys, records, rng, size) -> str:
     return min(picks, key=lambda k: records[k].fitness)
 
 
-def run(config: EvolutionConfig, evaluator, predictor=None, workers: int = 1,
+def run(config: EvolutionConfig, evaluator, predictor=None,
         lineage: LineageLog | None = None, on_generation=None,
         start_state=None, pool=None) -> RunResult:
     """Execute the full evolutionary run.
@@ -377,8 +370,7 @@ def run(config: EvolutionConfig, evaluator, predictor=None, workers: int = 1,
         active_ids = {sp.id for sp in spec_state.species if sp.state == ACTIVE}
         eval_keys = [k for k in keys if assignment[k] in active_ids]
         evaluate_generation(population, evaluator, records, config.fitness_mode,
-                            config.partial_epochs, workers, keys=eval_keys,
-                            pool=pool)
+                            config.partial_epochs, keys=eval_keys, pool=pool)
         if config.fitness_mode == "meta_predicted":
             apply_meta_fitness(records, predictor)
 
@@ -431,7 +423,7 @@ def run(config: EvolutionConfig, evaluator, predictor=None, workers: int = 1,
         # generations == 0: evaluate the initial population only
         keys = [genome_key(g) for g in population]
         evaluate_generation(population, evaluator, records, config.fitness_mode,
-                            config.partial_epochs, workers, keys=keys, pool=pool)
+                            config.partial_epochs, keys=keys, pool=pool)
         if config.fitness_mode == "meta_predicted":
             apply_meta_fitness(records, predictor)
         best_key = min(keys, key=lambda k: records[k].fitness)

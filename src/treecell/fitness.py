@@ -23,7 +23,7 @@ from .data import (
     music_task_from_roll,
 )
 from .grammar import parse
-from .network import build_network, homogeneous_spec
+from .network import LayerSpec, NetworkSpec, build_network
 from .training import TrainConfig, TrainingDiverged, train
 
 
@@ -50,15 +50,6 @@ def build_task(config: ExperimentConfig) -> SequenceTask:
     raise ValueError(f"unknown task {task.name!r}")
 
 
-def network_spec_for(config: ExperimentConfig, task: SequenceTask):
-    net = config.network
-    if task.kind == "tokens":
-        return homogeneous_spec(net.width, net.layers, net.embedding_dim,
-                                vocab_size=task.vocab_size, head="softmax")
-    return homogeneous_spec(net.width, net.layers, 0, io_dim=task.io_dim,
-                            head="sigmoid")
-
-
 class EvalContext:
     """Holds the task and configs; maps genome text to a fitness curve."""
 
@@ -76,21 +67,31 @@ class EvalContext:
     def train_genome(self, text: str, epochs: int | None = None,
                      seed: int | None = None):
         """Train one genome; returns its raw metric curve."""
-        genome = parse(text)
-        spec = network_spec_for(self.config, self.task)
+        net = self.config.network
+        layers = [LayerSpec(net.width, [(0, net.width)])] * net.layers
         train_seed = seed if seed is not None else stable_seed(
             self.config.seed, text)
-        net = build_network(spec, [genome],
-                            np.random.Generator(np.random.PCG64(train_seed)),
-                            dtype=self.dtype)
+        return self.train_layers(layers, [parse(text)], train_seed, epochs)
+
+    def train_layers(self, layers, trees, seed: int, epochs: int | None = None):
+        """Train a network of ``layers`` over ``trees`` on the task; returns
+        its raw metric curve.  ``seed`` drives initialisation and dropout."""
+        task = self.task
+        if task.kind == "tokens":
+            spec = NetworkSpec(layers, self.config.network.embedding_dim,
+                               vocab_size=task.vocab_size, head="softmax")
+        else:
+            spec = NetworkSpec(layers, 0, io_dim=task.io_dim, head="sigmoid")
+        network = build_network(spec, trees, np.random.Generator(np.random.PCG64(seed)),
+                                dtype=self.dtype)
         cfg = TrainConfig(**{f: getattr(self.config.train, f)
                              for f in ("unroll_steps", "batch_size", "optimizer",
                                        "lr", "lr_decay", "decay_after_epoch",
                                        "dropout_ff", "dropout_rec", "l2",
                                        "grad_clip_norm")},
                           epochs=epochs if epochs is not None else self.epochs,
-                          seed=train_seed)
-        return train(net, self.task, cfg)
+                          seed=seed)
+        return train(network, task, cfg)
 
     def __call__(self, text: str):
         """Fitness curve for one genome; divergence yields None (worst)."""

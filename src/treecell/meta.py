@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compiler import CellState, cell_backward, cell_forward, compile_tree, lstm_reference_tree
-from .tree import N_BASE_INPUTS
+from .compiler import compile_tree, lstm_reference_tree
+from .network import RecurrentLayers, init_uniform
 
 PREFIX_LEN = 10
 
@@ -83,81 +83,6 @@ def kendall_tau(a, b) -> float:
     return float(np.mean(da[upper] * db[upper]))
 
 
-class _RecurrentStack:
-    """Stack of gated reference cells with per-layer input projections."""
-
-    def __init__(self, prefix, in_dim, width, layers, rng, params, cell, dtype):
-        self.prefix = prefix
-        self.in_dim = in_dim
-        self.width = width
-        self.layers = layers
-        self.cell = cell
-        self.dtype = dtype
-        prev = in_dim
-        for li in range(layers):
-            params[f"{prefix}.layer{li}.W"] = _uniform(rng, (prev, N_BASE_INPUTS * width), prev, dtype)
-            params[f"{prefix}.layer{li}.U"] = _uniform(rng, (width, N_BASE_INPUTS * width), width, dtype)
-            params[f"{prefix}.layer{li}.b"] = np.zeros(N_BASE_INPUTS * width, dtype=dtype)
-            prev = width
-
-    def zero_states(self, batch):
-        return [CellState(np.zeros((batch, self.width), self.dtype),
-                          np.zeros((batch, self.width), self.dtype),
-                          np.zeros((batch, self.width), self.dtype))
-                for _ in range(self.layers)]
-
-    def step(self, params, x, states, record=False):
-        batch = x.shape[0]
-        xin = x
-        new_states = []
-        caches = [] if record else None
-        for li in range(self.layers):
-            st = states[li]
-            pre = (xin @ params[f"{self.prefix}.layer{li}.W"]
-                   + st.h @ params[f"{self.prefix}.layer{li}.U"]
-                   + params[f"{self.prefix}.layer{li}.b"])
-            base = pre.reshape(batch, N_BASE_INPUTS, self.width).transpose(1, 0, 2)
-            result = cell_forward(self.cell, base, st, record=record)
-            if record:
-                out, tape = result
-                caches.append({"xin": xin, "h_prev": st.h, "tape": tape})
-            else:
-                out = result
-            new_states.append(out)
-            xin = out.h
-        return xin, new_states, caches
-
-    def backward_step(self, params, grads, caches, dh_top, carry):
-        """One reverse step; mutates ``carry`` (per-layer h/c/d adjoints)
-        and returns the adjoint of this step's input."""
-        dh_above = dh_top
-        dx = None
-        for li in range(self.layers - 1, -1, -1):
-            cache = caches[li]
-            dh = dh_above + carry["h"][li]
-            cg = cell_backward(self.cell, cache["tape"], dh,
-                               carry["c"][li], carry["d"][li])
-            batch = dh.shape[0]
-            dpre = cg.base.transpose(1, 0, 2).reshape(batch, N_BASE_INPUTS * self.width)
-            grads[f"{self.prefix}.layer{li}.W"] += cache["xin"].T @ dpre
-            grads[f"{self.prefix}.layer{li}.U"] += cache["h_prev"].T @ dpre
-            grads[f"{self.prefix}.layer{li}.b"] += dpre.sum(axis=0)
-            dxin = dpre @ params[f"{self.prefix}.layer{li}.W"].T
-            carry["h"][li] = dpre @ params[f"{self.prefix}.layer{li}.U"].T
-            carry["c"][li] = cg.c_prev
-            carry["d"][li] = cg.d_prev
-            if li == 0:
-                dx = dxin
-            else:
-                dh_above = dxin
-        return dx
-
-
-def _uniform(rng, shape, fan_in, dtype):
-    limit = 1.0 / np.sqrt(max(fan_in, 1))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-
 class _Seq2Seq:
     """One ensemble member: encoder over the log prefix, autoregressive
     decoder rolled out ``decoder_len`` steps; the final output is the
@@ -167,13 +92,11 @@ class _Seq2Seq:
         self.decoder_len = decoder_len
         self.config = config
         self.dtype = dtype
-        self.cell = compile_tree(lstm_reference_tree())
+        slots = [[(compile_tree(lstm_reference_tree()), config.width)]] * config.layers
         self.params: dict[str, np.ndarray] = {}
-        self.encoder = _RecurrentStack("enc", 1, config.width, config.layers,
-                                       rng, self.params, self.cell, dtype)
-        self.decoder = _RecurrentStack("dec", 1, config.width, config.layers,
-                                       rng, self.params, self.cell, dtype)
-        self.params["head.W"] = _uniform(rng, (config.width, 1), config.width, dtype)
+        self.encoder = RecurrentLayers(slots, 1, rng, self.params, "enc.", dtype)
+        self.decoder = RecurrentLayers(slots, 1, rng, self.params, "dec.", dtype)
+        self.params["head.W"] = init_uniform(rng, (config.width, 1), config.width, dtype)
         self.params["head.b"] = np.zeros(1, dtype=dtype)
 
     def forward(self, prefix_log, record=False):
@@ -194,7 +117,7 @@ class _Seq2Seq:
             out = h_top @ self.params["head.W"] + self.params["head.b"]
             outs[:, j] = out[:, 0]
             if record:
-                dec_caches.append({"stack": cache, "h_top": h_top, "inp": inp})
+                dec_caches.append({"stack": cache, "h_top": h_top})
             inp = out
         if record:
             return outs, {"enc": enc_caches, "dec": dec_caches}
@@ -209,12 +132,7 @@ class _Seq2Seq:
         """
         grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         batch = douts.shape[0]
-        width = self.config.width
-        carry = {
-            "h": [np.zeros((batch, width), self.dtype) for _ in range(self.config.layers)],
-            "c": [np.zeros((batch, width), self.dtype) for _ in range(self.config.layers)],
-            "d": [np.zeros((batch, width), self.dtype) for _ in range(self.config.layers)],
-        }
+        carry = self.decoder.zero_states(batch)
         dout_next = None  # adjoint fed back from the following step's input
         for j in range(self.decoder_len - 1, -1, -1):
             step = cache["dec"][j]
@@ -224,11 +142,11 @@ class _Seq2Seq:
             grads["head.W"] += step["h_top"].T @ dout
             grads["head.b"] += dout.sum(axis=0)
             dh_top = dout @ self.params["head.W"].T
-            dx = self.decoder.backward_step(self.params, grads, step["stack"],
-                                            dh_top, carry)
-            dout_next = dx  # previous step produced this step's input
+            # the previous step produced this step's input
+            dout_next = self.decoder.backward_step(self.params, grads, step["stack"],
+                                                   dh_top, carry)
         # the decoder's initial state is the encoder's final state
-        zero_top = np.zeros((batch, width), self.dtype)
+        zero_top = np.zeros((batch, self.config.width), self.dtype)
         for t in range(PREFIX_LEN - 1, -1, -1):
             self.encoder.backward_step(self.params, grads, cache["enc"][t],
                                        zero_top, carry)
@@ -259,10 +177,6 @@ class CurvePredictor:
         logp = np.log(np.asarray(prefixes, dtype=np.float64))
         member_preds = [np.exp(m.forward(logp)[:, -1]) for m in self.members]
         return np.mean(member_preds, axis=0)
-
-
-def predict_final(model: CurvePredictor, prefix) -> float:
-    return model.predict(prefix)
 
 
 def _adam_step(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -5,7 +5,8 @@ several cell types in fixed-cardinality column slots (heterogeneous).
 Trainable parameters are the embedding, eight per-layer input projections
 combining the layer input with the previous-step h, and the output head;
 edges inside the cells carry no parameters, so the cell's memory-cell
-count never changes the parameter count.
+count never changes the parameter count.  :class:`RecurrentLayers` is the
+one layer engine; the curve predictor in ``meta`` builds on it too.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compiler import CellState, cell_backward, cell_forward, compile_tree, zero_state
-from .genetic import tree_distance
 from .tree import N_BASE_INPUTS
 
 DEFAULT_CARDINALITY = 20
@@ -56,6 +56,129 @@ def heterogeneous_layer(tree_indices, cardinality: int = DEFAULT_CARDINALITY) ->
     return LayerSpec(cardinality * len(slots), slots)
 
 
+def init_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
+    """Weights drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in)), cast to ``dtype``."""
+    limit = 1.0 / np.sqrt(max(fan_in, 1))
+    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+
+
+class RecurrentLayers:
+    """A stack of recurrent layers, stepped one time step at a time.
+
+    Each layer projects its input and the previous-step h to the eight
+    base inputs of every unit, then runs compiled cells over column slots.
+    ``slots`` holds, per layer, (compiled cell, cardinality) pairs; the
+    parameters ``{prefix}layer{i}.W|U|b`` are created in ``params``.
+    """
+
+    def __init__(self, slots, in_dim: int, rng: np.random.Generator, params: dict,
+                 prefix: str = "", dtype=np.float64):
+        self.dtype = dtype
+        self.cells = []  # per layer: [(cell, lo, hi), ...]
+        for layer in slots:
+            offset = 0
+            compiled = []
+            for cell, card in layer:
+                compiled.append((cell, offset, offset + card))
+                offset += card
+            self.cells.append(compiled)
+        self.widths = [layer[-1][2] for layer in self.cells]
+        self.names = [tuple(f"{prefix}layer{li}.{p}" for p in "WUb")
+                      for li in range(len(self.cells))]
+        prev = in_dim
+        for (w_name, u_name, b_name), w in zip(self.names, self.widths):
+            params[w_name] = init_uniform(rng, (prev, N_BASE_INPUTS * w), prev, dtype)
+            params[u_name] = init_uniform(rng, (w, N_BASE_INPUTS * w), w, dtype)
+            params[b_name] = np.zeros(N_BASE_INPUTS * w, dtype=dtype)
+            prev = w
+
+    def zero_states(self, batch: int) -> list[CellState]:
+        return [zero_state((batch, w), self.dtype) for w in self.widths]
+
+    def step(self, params, xin, states, masks=None, record: bool = False):
+        """One time step up the stack; returns (top h, new states, caches).
+
+        ``masks`` holds the ``ff``/``rec`` dropout masks or None.  The
+        per-layer caches (None unless ``record``) feed :meth:`backward_step`.
+        """
+        new_states = []
+        caches = [] if record else None
+        for li, slots in enumerate(self.cells):
+            w_name, u_name, b_name = self.names[li]
+            state = states[li]
+            h_prev = state.h
+            if masks is not None:
+                xin = xin * masks["ff"][li]
+                h_prev = h_prev * masks["rec"][li]
+            pre = xin @ params[w_name] + h_prev @ params[u_name] + params[b_name]
+            batch, width = pre.shape[0], self.widths[li]
+            base = pre.reshape(batch, N_BASE_INPUTS, width).transpose(1, 0, 2)
+            tapes = []
+            if len(slots) == 1:
+                out = cell_forward(slots[0][0], base, state, record=record)
+                if record:
+                    out, tape = out
+                    tapes.append(tape)
+            else:
+                out = CellState(np.empty((batch, width), dtype=self.dtype),
+                                np.empty((batch, width), dtype=self.dtype),
+                                np.empty((batch, width), dtype=self.dtype))
+                for cell, lo, hi in slots:
+                    sub = cell_forward(cell, base[:, :, lo:hi],
+                                       CellState(state.h[:, lo:hi], state.c[:, lo:hi],
+                                                 state.d[:, lo:hi]), record=record)
+                    if record:
+                        sub, tape = sub
+                        tapes.append(tape)
+                    out.h[:, lo:hi] = sub.h
+                    out.c[:, lo:hi] = sub.c
+                    out.d[:, lo:hi] = sub.d
+            if record:
+                caches.append({"xin": xin, "h_prev": h_prev, "tapes": tapes})
+            new_states.append(out)
+            xin = out.h
+        return xin, new_states, caches
+
+    def backward_step(self, params, grads, caches, dh_top, carry, masks=None):
+        """One reverse time step down the stack; returns the input adjoint.
+
+        Adds parameter adjoints into ``grads`` and replaces ``carry[li]``,
+        the adjoints of layer ``li``'s previous-step h, c and d.
+        """
+        dh_above = dh_top
+        for li in range(len(self.cells) - 1, -1, -1):
+            slots = self.cells[li]
+            cache = caches[li]
+            w_name, u_name, b_name = self.names[li]
+            dh = dh_above + carry[li].h
+            batch, width = dh.shape[0], self.widths[li]
+            if len(slots) == 1:
+                cg = cell_backward(slots[0][0], cache["tapes"][0], dh,
+                                   carry[li].c, carry[li].d)
+                dbase, dc_prev, dd_prev = cg.base, cg.c_prev, cg.d_prev
+            else:
+                dbase = np.empty((N_BASE_INPUTS, batch, width), dtype=self.dtype)
+                dc_prev = np.empty((batch, width), dtype=self.dtype)
+                dd_prev = np.empty_like(dc_prev)
+                for (cell, lo, hi), tape in zip(slots, cache["tapes"]):
+                    cg = cell_backward(cell, tape, dh[:, lo:hi], carry[li].c[:, lo:hi],
+                                       carry[li].d[:, lo:hi])
+                    dbase[:, :, lo:hi] = cg.base
+                    dc_prev[:, lo:hi] = cg.c_prev
+                    dd_prev[:, lo:hi] = cg.d_prev
+            dpre = dbase.transpose(1, 0, 2).reshape(batch, N_BASE_INPUTS * width)
+            grads[w_name] += cache["xin"].T @ dpre
+            grads[u_name] += cache["h_prev"].T @ dpre
+            grads[b_name] += dpre.sum(axis=0)
+            dh_above = dpre @ params[w_name].T
+            dh_prev = dpre @ params[u_name].T
+            if masks is not None:
+                dh_above = dh_above * masks["ff"][li]
+                dh_prev = dh_prev * masks["rec"][li]
+            carry[li] = CellState(dh_prev, dc_prev, dd_prev)
+        return dh_above
+
+
 class Network:
     """Compiled cells plus the trainable parameter set."""
 
@@ -63,48 +186,29 @@ class Network:
                  dtype=np.float64):
         self.spec = spec
         self.dtype = dtype
-        self.cells = []
         for layer in spec.layers:
             total = sum(card for _, card in layer.slots)
             if total != layer.width:
                 raise ValueError(
                     f"slot cardinalities sum to {total}, layer width is {layer.width}")
-            offset = 0
-            compiled = []
-            for tree_idx, card in layer.slots:
-                compiled.append((compile_tree(trees[tree_idx]), offset, offset + card))
-                offset += card
-            self.cells.append(compiled)
         self.params: dict[str, np.ndarray] = {}
-        in_dim = spec.in_dim
         if spec.embedding_dim > 0:
-            self.params["embedding"] = self._init(rng, (spec.vocab_size, spec.embedding_dim),
-                                                  spec.vocab_size)
-        prev = in_dim
-        for li, layer in enumerate(spec.layers):
-            w = layer.width
-            self.params[f"layer{li}.W"] = self._init(rng, (prev, N_BASE_INPUTS * w), prev)
-            self.params[f"layer{li}.U"] = self._init(rng, (w, N_BASE_INPUTS * w), w)
-            self.params[f"layer{li}.b"] = np.zeros(N_BASE_INPUTS * w, dtype=self.dtype)
-            prev = w
-        self.params["head.W"] = self._init(rng, (prev, spec.out_dim), prev)
-        self.params["head.b"] = np.zeros(spec.out_dim, dtype=self.dtype)
-
-    def _init(self, rng, shape, fan_in):
-        limit = 1.0 / np.sqrt(max(fan_in, 1))
-        return rng.uniform(-limit, limit, size=shape).astype(self.dtype)
-
-    # -- bookkeeping -----------------------------------------------------------
+            self.params["embedding"] = init_uniform(
+                rng, (spec.vocab_size, spec.embedding_dim), spec.vocab_size, dtype)
+        self.layers = RecurrentLayers(
+            [[(compile_tree(trees[idx]), card) for idx, card in layer.slots]
+             for layer in spec.layers],
+            spec.in_dim, rng, self.params, dtype=dtype)
+        self.cells = self.layers.cells
+        top = spec.layers[-1].width if spec.layers else spec.in_dim
+        self.params["head.W"] = init_uniform(rng, (top, spec.out_dim), top, dtype)
+        self.params["head.b"] = np.zeros(spec.out_dim, dtype=dtype)
 
     def param_count(self) -> int:
         return sum(int(np.prod(p.shape)) for p in self.params.values())
 
     def zero_states(self, batch: int) -> list[CellState]:
-        return [zero_state((batch, layer.width), self.dtype)
-                for layer in self.spec.layers]
-
-    def detach_states(self, states):
-        return [CellState(s.h.copy(), s.c.copy(), s.d.copy()) for s in states]
+        return self.layers.zero_states(batch)
 
     # -- forward/backward over one unrolled chunk -------------------------------
 
@@ -117,7 +221,6 @@ class Network:
         """
         spec = self.spec
         batch, length = x.shape[0], x.shape[1]
-        states = self.detach_states(states)
         logits = np.empty((batch, length, spec.out_dim), dtype=self.dtype)
         cache = {"x": x, "steps": [], "masks": masks} if record else None
         for t in range(length):
@@ -125,45 +228,13 @@ class Network:
                 xin = self.params["embedding"][x[:, t]]
             else:
                 xin = x[:, t].astype(self.dtype)
-            step_cache = [] if record else None
-            for li, layer in enumerate(spec.layers):
-                if masks is not None:
-                    xin = xin * masks["ff"][li]
-                h_prev = states[li].h
-                if masks is not None:
-                    h_prev = h_prev * masks["rec"][li]
-                pre = (xin @ self.params[f"layer{li}.W"]
-                       + h_prev @ self.params[f"layer{li}.U"]
-                       + self.params[f"layer{li}.b"])
-                base = pre.reshape(batch, N_BASE_INPUTS, layer.width).transpose(1, 0, 2)
-                h_new = np.empty((batch, layer.width), dtype=self.dtype)
-                c_new = np.empty_like(h_new)
-                d_new = np.empty_like(h_new)
-                slot_tapes = []
-                for cell, lo, hi in self.cells[li]:
-                    sub_state = CellState(states[li].h[:, lo:hi],
-                                          states[li].c[:, lo:hi],
-                                          states[li].d[:, lo:hi])
-                    result = cell_forward(cell, base[:, :, lo:hi], sub_state,
-                                          record=record)
-                    if record:
-                        out, tape = result
-                        slot_tapes.append(tape)
-                    else:
-                        out = result
-                    h_new[:, lo:hi] = out.h
-                    c_new[:, lo:hi] = out.c
-                    d_new[:, lo:hi] = out.d
-                if record:
-                    step_cache.append({"xin": xin, "h_prev": h_prev,
-                                       "tapes": slot_tapes})
-                states[li] = CellState(h_new, c_new, d_new)
-                xin = h_new
+            top, states, layer_caches = self.layers.step(self.params, xin, states,
+                                                         masks, record)
             if masks is not None:
-                xin = xin * masks["out"]
-            logits[:, t] = xin @ self.params["head.W"] + self.params["head.b"]
+                top = top * masks["out"]
+            logits[:, t] = top @ self.params["head.W"] + self.params["head.b"]
             if record:
-                cache["steps"].append({"layers": step_cache, "top": xin})
+                cache["steps"].append({"layers": layer_caches, "top": top})
         return logits, states, cache
 
     def backward_chunk(self, cache, dlogits) -> dict[str, np.ndarray]:
@@ -172,56 +243,22 @@ class Network:
         Gradients truncate at the chunk boundary: adjoints of the carried-in
         state are dropped, matching truncated backpropagation through time.
         """
-        spec = self.spec
         x = cache["x"]
         masks = cache["masks"]
-        batch, length = x.shape[0], x.shape[1]
         grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        n_layers = len(spec.layers)
-        carry_h = [np.zeros((batch, layer.width), dtype=self.dtype)
-                   for layer in spec.layers]
-        carry_c = [np.zeros_like(c) for c in carry_h]
-        carry_d = [np.zeros_like(c) for c in carry_h]
-        for t in range(length - 1, -1, -1):
+        carry = self.zero_states(x.shape[0])
+        for t in range(x.shape[1] - 1, -1, -1):
             step = cache["steps"][t]
-            top = step["top"]
             dl = dlogits[:, t]
-            grads["head.W"] += top.T @ dl
+            grads["head.W"] += step["top"].T @ dl
             grads["head.b"] += dl.sum(axis=0)
             dtop = dl @ self.params["head.W"].T
             if masks is not None:
                 dtop = dtop * masks["out"]
-            dh_from_above = dtop
-            for li in range(n_layers - 1, -1, -1):
-                layer = spec.layers[li]
-                lcache = step["layers"][li]
-                dh = dh_from_above + carry_h[li]
-                dbase = np.empty((N_BASE_INPUTS, batch, layer.width), dtype=self.dtype)
-                dc_prev = np.empty((batch, layer.width), dtype=self.dtype)
-                dd_prev = np.empty_like(dc_prev)
-                for si, (cell, lo, hi) in enumerate(self.cells[li]):
-                    cg = cell_backward(cell, lcache["tapes"][si],
-                                       dh[:, lo:hi], carry_c[li][:, lo:hi],
-                                       carry_d[li][:, lo:hi])
-                    dbase[:, :, lo:hi] = cg.base
-                    dc_prev[:, lo:hi] = cg.c_prev
-                    dd_prev[:, lo:hi] = cg.d_prev
-                dpre = dbase.transpose(1, 0, 2).reshape(batch, N_BASE_INPUTS * layer.width)
-                grads[f"layer{li}.W"] += lcache["xin"].T @ dpre
-                grads[f"layer{li}.U"] += lcache["h_prev"].T @ dpre
-                grads[f"layer{li}.b"] += dpre.sum(axis=0)
-                dxin = dpre @ self.params[f"layer{li}.W"].T
-                if masks is not None:
-                    dxin = dxin * masks["ff"][li]
-                dh_prev = dpre @ self.params[f"layer{li}.U"].T
-                if masks is not None:
-                    dh_prev = dh_prev * masks["rec"][li]
-                carry_h[li] = dh_prev
-                carry_c[li] = dc_prev
-                carry_d[li] = dd_prev
-                dh_from_above = dxin
-            if spec.embedding_dim > 0:
-                np.add.at(grads["embedding"], x[:, t], dh_from_above)
+            dx = self.layers.backward_step(self.params, grads, step["layers"], dtop,
+                                           carry, masks)
+            if self.spec.embedding_dim > 0:
+                np.add.at(grads["embedding"], x[:, t], dx)
         return grads
 
 
@@ -229,32 +266,3 @@ def build_network(spec: NetworkSpec, trees, rng: np.random.Generator,
                   dtype=np.float64) -> Network:
     """Compile trees into a trainable network per the layer/slot layout."""
     return Network(spec, trees, rng, dtype)
-
-
-def select_diverse_pool(genomes, fitnesses, pool_size: int = 20,
-                        top_fraction: float | None = None) -> list[int]:
-    """Greedy max-min diversity selection; returns indices into ``genomes``.
-
-    Starts from the best-fitness genome and repeatedly adds the candidate
-    whose minimum tree distance to the chosen set is largest.  With
-    ``top_fraction`` set, only the best fraction by fitness is eligible,
-    mirroring a pool drawn from the top of a population.
-    """
-    if len(genomes) < pool_size:
-        raise ValueError(f"need at least {pool_size} genomes, have {len(genomes)}")
-    order = sorted(range(len(genomes)), key=lambda i: fitnesses[i])
-    if top_fraction is not None:
-        keep = max(pool_size, int(np.ceil(len(genomes) * top_fraction)))
-        order = order[:keep]
-    chosen = [order[0]]
-    remaining = [i for i in order if i != order[0]]
-    dist = {i: tree_distance(genomes[i], genomes[chosen[0]]) for i in remaining}
-    while len(chosen) < pool_size and remaining:
-        pick = max(remaining, key=lambda i: (dist[i], -fitnesses[i], -i))
-        chosen.append(pick)
-        remaining.remove(pick)
-        for i in remaining:
-            d = tree_distance(genomes[i], genomes[pick])
-            if d < dist[i]:
-                dist[i] = d
-    return chosen

@@ -222,22 +222,14 @@ def micro_f1(predictions: np.ndarray, targets: np.ndarray) -> float:
 
 def eval_f1(network: Network, inputs, targets, batch_size: int = 20,
             unroll: int = 35, threshold: float = 0.5) -> float:
-    tp = fp = fn = 0
-    seen = False
+    """Micro F1 of thresholded sigmoid outputs over the split."""
+    pred, targ = [], []
     for logits, yc in _stream_logits(network, inputs, targets, batch_size, unroll):
-        seen = True
-        pred = 1.0 / (1.0 + np.exp(-np.clip(logits, -500, 500))) >= threshold
-        targ = yc >= 0.5
-        tp += int(np.sum(pred & targ))
-        fp += int(np.sum(pred & ~targ))
-        fn += int(np.sum(~pred & targ))
-    if not seen:
+        pred.append((1.0 / (1.0 + np.exp(-np.clip(logits, -500, 500))) >= threshold).ravel())
+        targ.append((yc >= 0.5).ravel())
+    if not pred:
         raise ValueError("empty split")
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
+    return micro_f1(np.concatenate(pred), np.concatenate(targ))
 
 
 # --- the training loop ------------------------------------------------------------

@@ -8,7 +8,7 @@ from treecell.cli import main
 from treecell.config import ExperimentConfig, save_config
 from treecell.grammar import parse, serialize, write_population
 from treecell.genetic import random_genome
-from treecell.meta import load_model, predict_final, save_samples_csv, synthetic_curves
+from treecell.meta import load_model, save_samples_csv, synthetic_curves
 
 
 def tiny_config(tmp_path, **overrides) -> Path:
@@ -102,6 +102,21 @@ def test_train_same_seed_identical_bytes(tmp_path, genome_file):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_train_divergence_is_clean_error(tmp_path, genome_file, monkeypatch, capsys):
+    from treecell.fitness import EvalContext
+    from treecell.training import TrainingDiverged
+
+    def diverge(self, text, epochs=None, seed=None):
+        raise TrainingDiverged(3, 7)
+
+    monkeypatch.setattr(EvalContext, "train_genome", diverge)
+    out = tmp_path / "curve.csv"
+    assert main(["train", str(genome_file), "--config", str(tiny_config(tmp_path)),
+                 "--out", str(out)]) == 1
+    assert "diverged at epoch 3, batch 7" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_invalid_genome(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     bad = tmp_path / "bad.genome"
@@ -161,7 +176,7 @@ def test_meta_cli_round_trip(tmp_path, capsys):
                  "--curve", curve]) == 0
     printed = float(capsys.readouterr().out.strip().splitlines()[-1])
     model = load_model(model_path)
-    assert printed == predict_final(model, samples[0].prefix)
+    assert printed == model.predict(samples[0].prefix)
 
 
 def test_meta_cli_insufficient_samples(tmp_path, capsys):

@@ -78,6 +78,23 @@ def test_evaluate_generation_caches_duplicates():
     assert len(calls) == 1
 
 
+def test_evaluate_generation_sends_a_lone_genome_to_the_pool():
+    # a pool's evaluator may only work inside its workers, so even a single
+    # pending genome must not be evaluated in the calling process
+    class WorkerPool:
+        def map(self, fn, keys):
+            return [toy_evaluator(k) for k in keys]
+
+    def outside_pool(text):
+        raise AssertionError("evaluated outside the pool")
+
+    records = {}
+    evaluate_generation([seed_tree()], outside_pool, records,
+                        "epoch10_baseline", 2, pool=WorkerPool())
+    key = genome_key(seed_tree())
+    assert records[key].fitness == toy_evaluator(key)[-1]
+
+
 def test_divergent_training_gets_worst_fitness():
     def nan_evaluator(text):
         return [float("nan")]

@@ -9,7 +9,6 @@ from treecell.meta import (
     load_model,
     load_samples_csv,
     mae_percent,
-    predict_final,
     save_model,
     save_samples_csv,
     synthetic_curves,
@@ -103,7 +102,7 @@ def test_constant_family_learns_below_one_percent(constant_model):
 def test_constant_family_train_set_recall(constant_model):
     model, _ = constant_model
     sample = constant_family(150, seed=0)[7]
-    pred = predict_final(model, sample.prefix)
+    pred = model.predict(sample.prefix)
     assert abs(pred - sample.target) / sample.target < 0.01
 
 
@@ -112,8 +111,8 @@ def test_prediction_is_member_mean_and_positive(constant_model):
     prefix = np.full(10, 5.0)
     member_preds = [float(np.exp(m.forward(np.log(prefix)[None, :])[0, -1]))
                     for m in model.members]
-    assert predict_final(model, prefix) == pytest.approx(np.mean(member_preds))
-    assert predict_final(model, prefix) > 0
+    assert model.predict(prefix) == pytest.approx(np.mean(member_preds))
+    assert model.predict(prefix) > 0
     assert len(model.members) == 2
     assert {m.decoder_len for m in model.members} == {30, 1}
 
@@ -125,7 +124,7 @@ def test_same_seed_same_model():
     a = train_meta(samples, cfg)
     b = train_meta(samples, cfg)
     prefix = np.full(10, 6.0)
-    assert predict_final(a, prefix) == predict_final(b, prefix)
+    assert a.predict(prefix) == b.predict(prefix)
 
 
 def test_duplication_invariance_of_loss_and_gradients():
@@ -156,6 +155,41 @@ def test_duplication_invariance_of_loss_and_gradients():
         assert np.allclose(grads_a[k], grads_b[k], rtol=1e-9, atol=1e-12), k
 
 
+def test_seq2seq_backward_matches_finite_differences():
+    # every parameter: the encoder's gradient arrives only through the
+    # encoder-to-decoder state hand-off, and each decoder step after the
+    # first reads the previous step's output back in as its input
+    from treecell.meta import _Seq2Seq
+
+    member = _Seq2Seq(4, MetaConfig(width=3, layers=2), rng_for(11))
+    rng = rng_for(12)
+    x = np.log(rng.uniform(1.0, 10.0, size=(2, 10)))
+    weights = rng.normal(size=(2, 4))
+    weights[:, 1] = 0.0  # an unsupervised step still passes gradient back
+
+    def objective():
+        return float(np.sum(weights * member.forward(x)))
+
+    _, cache = member.forward(x, record=True)
+    grads = member.backward(cache, weights)
+    assert np.any(grads["enc.layer0.W"] != 0)
+    eps = 1e-6
+    worst = 0.0
+    for name, param in member.params.items():
+        flat = param.reshape(-1)
+        gflat = grads[name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            up = objective()
+            flat[i] = orig - eps
+            down = objective()
+            flat[i] = orig
+            fd = (up - down) / (2 * eps)
+            worst = max(worst, abs(fd - gflat[i]) / max(1.0, abs(fd), abs(gflat[i])))
+    assert worst < 1e-5
+
+
 def test_untrained_and_bad_prefix_raise(constant_model):
     from treecell.meta import CurvePredictor
 
@@ -174,7 +208,7 @@ def test_model_file_round_trip(tmp_path, constant_model):
     save_model(model, path)
     again = load_model(path)
     prefix = np.full(10, 4.0)
-    assert predict_final(again, prefix) == predict_final(model, prefix)
+    assert again.predict(prefix) == model.predict(prefix)
 
 
 def test_crossing_family_beats_baseline(crossing_model):

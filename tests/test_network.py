@@ -12,7 +12,6 @@ from treecell.network import (
     build_network,
     heterogeneous_layer,
     homogeneous_spec,
-    select_diverse_pool,
 )
 from treecell.training import (
     TrainConfig,
@@ -23,7 +22,7 @@ from treecell.training import (
     softmax_ce,
     train,
 )
-from treecell.tree import build_tree, seed_tree
+from treecell.tree import build_tree
 
 
 def rng_for(seed):
@@ -239,29 +238,6 @@ def test_training_loss_decreases_first_epoch_char_lm():
                          dropout_rec=0.0, seed=5)
     curve = train(net, task, config)
     assert curve.metrics[0] < before
-
-
-def test_select_diverse_pool_two_clusters():
-    rng = rng_for(13)
-    cluster_a = [random_genome(rng_for(0), steps=2) for _ in range(4)]
-    cluster_b = [random_genome(rng_for(9000), steps=12) for _ in range(4)]
-    genomes = cluster_a + cluster_b
-    fitnesses = [1.0, 1.1, 1.2, 1.3, 2.0, 2.1, 2.2, 2.3]
-    picked = select_diverse_pool(genomes, fitnesses, pool_size=2)
-    assert picked[0] == 0  # best fitness seeds the pool
-    assert picked[1] >= 4  # second pick jumps to the far cluster
-
-
-def test_select_diverse_pool_requires_enough_genomes():
-    with pytest.raises(ValueError):
-        select_diverse_pool([seed_tree()], [1.0], pool_size=2)
-
-
-def test_select_diverse_pool_top_fraction():
-    genomes = [random_genome(rng_for(s), steps=3) for s in range(10)]
-    fitnesses = [float(i) for i in range(10)]
-    picked = select_diverse_pool(genomes, fitnesses, pool_size=3, top_fraction=0.5)
-    assert all(i < 5 for i in picked)  # only the best half is eligible
 
 
 def test_music_task_trains_and_reports_f1():
