@@ -88,10 +88,11 @@ def _stats_row(stats):
             stats.archived_species, stats.archive_size, stats.best_genome)
 
 
-def _checkpoint_blob(generation, population, spec_state, records, history):
+def _checkpoint_blob(generation, population, spec_state, records, history, lineage_bytes):
     return json.dumps({
-        "version": 1,
+        "version": 2,
         "next_generation": generation + 1,
+        "lineage_bytes": lineage_bytes,
         "population": [serialize(g) for g in population],
         "speciation": spec_state.to_json(),
         "records": {
@@ -104,7 +105,7 @@ def _checkpoint_blob(generation, population, spec_state, records, history):
 
 def _restore_checkpoint(path, config):
     blob = json.loads(Path(path).read_text(encoding="utf-8"))
-    if blob.get("version") != 1:
+    if blob.get("version") != 2:
         raise ValueError("unsupported checkpoint version")
     population = [parse(t) for t in blob["population"]]
     spec_state = SpeciationState.from_json(blob["speciation"], config.speciation)
@@ -113,7 +114,8 @@ def _restore_checkpoint(path, config):
         for k, r in blob["records"].items()
     }
     history = [evolution.GenerationStats(*row) for row in blob["history"]]
-    return blob["next_generation"], population, spec_state, records, history
+    state = (blob["next_generation"], population, spec_state, records, history)
+    return state, blob["lineage_bytes"]
 
 
 def cmd_evolve(args) -> int:
@@ -131,10 +133,10 @@ def cmd_evolve(args) -> int:
             return _fail("meta_predicted fitness requires paths.meta_model")
         predictor = meta.load_model(config.paths.meta_model)
 
-    start_state = None
+    start_state, lineage_bytes = None, 0
     if args.resume and checkpoint_path.exists():
         try:
-            start_state = _restore_checkpoint(checkpoint_path, config.evolution)
+            start_state, lineage_bytes = _restore_checkpoint(checkpoint_path, config.evolution)
         except (ValueError, KeyError, json.JSONDecodeError) as exc:
             return _fail(f"corrupt checkpoint {checkpoint_path}: {exc}")
         if start_state[0] >= config.evolution.generations:
@@ -148,6 +150,9 @@ def cmd_evolve(args) -> int:
     history_rows = list(start_state[4]) if start_state else []
 
     with open(lineage_path, lineage_mode, encoding="utf-8") as sink:
+        # drop lines a crash left behind after the checkpoint was written;
+        # never pad a log that is already shorter
+        sink.truncate(min(lineage_bytes, sink.tell()))
         lineage = evolution.LineageLog(sink)
 
         def on_generation(stats, population, spec_state, records):
@@ -156,7 +161,7 @@ def cmd_evolve(args) -> int:
                       [_stats_row(h) for h in history_rows])
             atomic_write(checkpoint_path,
                          _checkpoint_blob(stats.generation, population,
-                                          spec_state, records, history_rows))
+                                          spec_state, records, history_rows, sink.tell()))
 
         pool = None
         try:

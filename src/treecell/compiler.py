@@ -34,8 +34,6 @@ class CompiledCell:
     h_slot: int
     c_slots: tuple[int, ...]          # tapped sources summed into c; empty = pass-through
     d_slots: tuple[int, ...]
-    node_count: int
-    node_to_slot: dict[int, int]      # tree node id -> slot holding its value
 
     @property
     def n_slots(self) -> int:
@@ -91,8 +89,7 @@ def compile_tree(tree: NodeTree) -> CompiledCell:
                     if tree.nodes[nid].tap == "c")
     d_slots = tuple(node_to_slot[nid] for nid in tree.postorder()
                     if tree.nodes[nid].tap == "d")
-    return CompiledCell(tuple(ops), node_to_slot[tree.root], c_slots, d_slots,
-                        T.size(tree), node_to_slot)
+    return CompiledCell(tuple(ops), node_to_slot[tree.root], c_slots, d_slots)
 
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:

@@ -43,53 +43,16 @@ class SharedRegion:
     tree_b: NodeTree = field(repr=False)
 
 
-def _shape_text(tree: NodeTree, sizes: dict[int, int]) -> dict[int, str]:
-    """Kind-blind shape string per node: leaves 'o', unary '(u..)', binary '(b..)'.
-
-    Children of binary nodes are sorted by (size, height, shape), so the
-    ordering is invariant under element relabeling, which keeps the
-    distance purely structural.
-    """
-    shapes: dict[int, str] = {}
-    heights: dict[int, int] = {}
-    for nid in tree.postorder():
-        node = tree.nodes[nid]
-        if not node.children:
-            shapes[nid] = "o"
-            heights[nid] = 1
-            continue
-        keys = sorted(
-            ((sizes[c], heights[c], shapes[c]) for c in node.children))
-        tag = "u" if len(node.children) == 1 else "b"
-        shapes[nid] = "(" + tag + "".join(k[2] for k in keys) + ")"
-        heights[nid] = 1 + max(heights[c] for c in node.children)
-    return shapes
-
-
 def rotate_by_shape(tree: NodeTree) -> NodeTree:
     """Sort add/mul children into a label-independent canonical rotation.
 
-    Add and mul are commutative, so the rotated tree computes the same
-    values; mirror-image trees rotate to the same shape and therefore
-    align position by position during matching.
+    Children are ordered by (size, height, kind-blind shape), so the
+    ordering is invariant under element relabeling, which keeps the
+    distance purely structural.  Add and mul are commutative, so the
+    rotated tree computes the same values; mirror-image trees rotate to the
+    same shape and therefore align position by position during matching.
     """
-    sizes: dict[int, int] = {}
-    for nid in tree.postorder():
-        sizes[nid] = 1 + sum(sizes[c] for c in tree.nodes[nid].children)
-    shapes = _shape_text(tree, sizes)
-    heights: dict[int, int] = {}
-    for nid in tree.postorder():
-        ch = tree.nodes[nid].children
-        heights[nid] = 1 + max((heights[c] for c in ch), default=0)
-
-    def rebuild(nid: int):
-        node = tree.nodes[nid]
-        children = list(node.children)
-        if T.is_linear(node.kind):
-            children.sort(key=lambda c: (sizes[c], heights[c], shapes[c]))
-        return (node.kind, node.tap, tuple(rebuild(c) for c in children))
-
-    return T.expr_to_tree(rebuild(tree.root), tree.generation_born)
+    return T.expr_to_tree(T.sort_commutative(tree, T.shape_label)[0], tree.generation_born)
 
 
 def shared_region(ta: NodeTree, tb: NodeTree) -> SharedRegion:
@@ -137,25 +100,6 @@ def tree_distance(ta: NodeTree, tb: NodeTree,
 # --- mutations --------------------------------------------------------------
 
 
-def _edit_expr(expr, path: tuple[int, ...], replacement):
-    if not path:
-        return replacement
-    kind, tap, children = expr
-    i = path[0]
-    new_children = tuple(
-        _edit_expr(c, path[1:], replacement) if j == i else c
-        for j, c in enumerate(children))
-    return (kind, tap, new_children)
-
-
-def _paths_by_id(tree: NodeTree) -> dict[int, tuple[int, ...]]:
-    paths = {tree.root: ()}
-    for nid in tree.preorder():
-        for i, c in enumerate(tree.nodes[nid].children):
-            paths[c] = paths[nid] + (i,)
-    return paths
-
-
 def _violation_budget(*trees: NodeTree) -> Counter:
     """Per-rule violation counts the inputs already carry.
 
@@ -169,8 +113,16 @@ def _violation_budget(*trees: NodeTree) -> Counter:
     return budget
 
 
-def _finish(expr, generation: int, budget: Counter) -> NodeTree | None:
-    candidate = T.strip_invalid_taps(T.expr_to_tree(expr, generation))
+def _finish(tree: NodeTree, target: int, replacement, budget: Counter) -> NodeTree | None:
+    """Put ``replacement`` (an Expr) in at node ``target``; None if that breaks a rule."""
+
+    def walk(nid: int):
+        if nid == target:
+            return replacement
+        node = tree.nodes[nid]
+        return (node.kind, node.tap, tuple(walk(c) for c in node.children))
+
+    candidate = T.strip_invalid_taps(T.expr_to_tree(walk(tree.root), tree.generation_born))
     counts = Counter(v.rule for v in T.validate(candidate))
     if counts - budget:
         return None
@@ -188,8 +140,6 @@ def mutate_replace(tree: NodeTree, rng: np.random.Generator) -> NodeTree:
     targets = list(T.iter_element_ids(tree))
     if not targets:
         return tree
-    expr = T.tree_to_expr(tree)
-    paths = _paths_by_id(tree)
     budget = _violation_budget(tree)
     for _ in range(RETRY_BUDGET):
         nid = targets[rng.integers(len(targets))]
@@ -197,18 +147,11 @@ def mutate_replace(tree: NodeTree, rng: np.random.Generator) -> NodeTree:
         pool = T.LINEAR if T.is_linear(node.kind) else T.NONLINEAR
         options = [k for k in pool if k != node.kind]
         new_kind = options[rng.integers(len(options))]
-        _, sub_tap, sub_children = _subexpr(expr, paths[nid])
-        candidate = _finish(_edit_expr(expr, paths[nid], (new_kind, sub_tap, sub_children)),
-                            tree.generation_born, budget)
+        _, tap, children = T.tree_to_expr(tree, nid)
+        candidate = _finish(tree, nid, (new_kind, tap, children), budget)
         if candidate is not None:
             return candidate
     return tree
-
-
-def _subexpr(expr, path: tuple[int, ...]):
-    for i in path:
-        expr = expr[2][i]
-    return expr
 
 
 def mutate_insert(tree: NodeTree, rng: np.random.Generator,
@@ -228,36 +171,23 @@ def mutate_insert(tree: NodeTree, rng: np.random.Generator,
     ]
     if not positions:
         return tree
-    expr = T.tree_to_expr(tree)
-    paths = _paths_by_id(tree)
     budget = _violation_budget(tree)
     for _ in range(RETRY_BUDGET):
         nid = positions[rng.integers(len(positions))]
         new_kind = T.ELEMENTS[rng.integers(len(T.ELEMENTS))]
-        displaced = _subexpr(expr, paths[nid])
+        children = [T.tree_to_expr(tree, nid)]
         if T.is_linear(new_kind):
-            leaf = T.LEAVES[rng.integers(len(T.LEAVES))]
-            children = [displaced, (leaf, None, ())]
+            children.append((T.LEAVES[rng.integers(len(T.LEAVES))], None, ()))
             if rng.integers(2):
                 children.reverse()
-            new_node = (new_kind, None, tuple(children))
-        else:
-            new_node = (new_kind, None, (displaced,))
+        memory = tree.reaches_memory(nid) or any(c[0] in T.MEMORY_LEAVES for c in children)
         tap = None
-        if nid != tree.root and rng.random() < memory_tap_rate:
-            if _expr_has_memory(new_node):
-                tap = T.TAPS[rng.integers(len(T.TAPS))]
-        new_node = (new_node[0], tap, new_node[2])
-        candidate = _finish(_edit_expr(expr, paths[nid], new_node),
-                            tree.generation_born, budget)
+        if nid != tree.root and rng.random() < memory_tap_rate and memory:
+            tap = T.TAPS[rng.integers(len(T.TAPS))]
+        candidate = _finish(tree, nid, (new_kind, tap, tuple(children)), budget)
         if candidate is not None:
             return candidate
     return tree
-
-
-def _expr_has_memory(expr) -> bool:
-    kind, _, children = expr
-    return kind in T.MEMORY_LEAVES or any(_expr_has_memory(c) for c in children)
 
 
 def mutate_shrink(tree: NodeTree, rng: np.random.Generator) -> NodeTree:
@@ -270,16 +200,12 @@ def mutate_shrink(tree: NodeTree, rng: np.random.Generator) -> NodeTree:
     targets = [nid for nid in T.iter_element_ids(tree) if nid != tree.root]
     if not targets:
         return tree
-    expr = T.tree_to_expr(tree)
-    paths = _paths_by_id(tree)
     budget = _violation_budget(tree)
     for _ in range(RETRY_BUDGET):
         nid = targets[rng.integers(len(targets))]
         node = tree.nodes[nid]
         keep = int(rng.integers(len(node.children)))
-        hoisted = _subexpr(expr, paths[nid] + (keep,))
-        candidate = _finish(_edit_expr(expr, paths[nid], hoisted),
-                            tree.generation_born, budget)
+        candidate = _finish(tree, nid, T.tree_to_expr(tree, node.children[keep]), budget)
         if candidate is not None:
             return candidate
     return tree
@@ -296,17 +222,12 @@ def crossover_homologous(pa: NodeTree, pb: NodeTree,
     """
     region = shared_region(pa, pb)
     candidates = region.pairs[1:] if len(region.pairs) > 1 else region.pairs
-    ea = T.tree_to_expr(region.tree_a)
-    eb = T.tree_to_expr(region.tree_b)
-    paths_a = _paths_by_id(region.tree_a)
-    paths_b = _paths_by_id(region.tree_b)
+    ta, tb = region.tree_a, region.tree_b
     budget = _violation_budget(pa, pb)
     for _ in range(RETRY_BUDGET):
         na, nb = candidates[rng.integers(len(candidates))]
-        sub_a = _subexpr(ea, paths_a[na])
-        sub_b = _subexpr(eb, paths_b[nb])
-        child_a = _finish(_edit_expr(ea, paths_a[na], sub_b), pa.generation_born, budget)
-        child_b = _finish(_edit_expr(eb, paths_b[nb], sub_a), pb.generation_born, budget)
+        child_a = _finish(ta, na, T.tree_to_expr(tb, nb), budget)
+        child_b = _finish(tb, nb, T.tree_to_expr(ta, na), budget)
         if child_a is not None and child_b is not None:
             return child_a, child_b
     return pa, pb

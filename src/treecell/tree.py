@@ -10,7 +10,7 @@ nodes may additionally be tapped into the auxiliary memory outputs c or d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 ADD = "add"
 MUL = "mul"
@@ -55,10 +55,6 @@ def is_leaf(kind: str) -> bool:
     return kind in LEAVES
 
 
-def arity(kind: str) -> int:
-    return ARITY[kind]
-
-
 class StructureError(ValueError):
     """Tree is not structurally well-formed (dangling id, arity mismatch, cycle)."""
 
@@ -88,7 +84,8 @@ class NodeTree:
     :func:`validate`.  All operations over trees are pure.
     """
 
-    __slots__ = ("root", "nodes", "generation_born", "_order", "_depths", "_heights")
+    __slots__ = ("root", "nodes", "generation_born", "_order", "_depths", "_heights",
+                 "_memory")
 
     def __init__(self, root: int, nodes: dict[int, TreeNode], generation_born: int = 0):
         object.__setattr__(self, "root", root)
@@ -97,21 +94,16 @@ class NodeTree:
         object.__setattr__(self, "_order", None)
         object.__setattr__(self, "_depths", None)
         object.__setattr__(self, "_heights", None)
+        object.__setattr__(self, "_memory", None)
         _check_structure(self)
 
     def __setattr__(self, name, value):
         raise AttributeError("NodeTree is immutable")
 
-    def node(self, node_id: int) -> TreeNode:
-        return self.nodes[node_id]
-
-    def children_of(self, node_id: int) -> tuple[TreeNode, ...]:
-        return tuple(self.nodes[c] for c in self.nodes[node_id].children)
-
-    def preorder(self, start: Optional[int] = None) -> list[int]:
+    def preorder(self) -> list[int]:
         """Node ids in depth-first preorder (children in stored order)."""
         out: list[int] = []
-        stack = [self.root if start is None else start]
+        stack = [self.root]
         while stack:
             nid = stack.pop()
             out.append(nid)
@@ -144,6 +136,16 @@ class NodeTree:
                 heights[nid] = 1 + max((heights[c] for c in ch), default=0)
             object.__setattr__(self, "_heights", heights)
         return self._heights[node_id]
+
+    def reaches_memory(self, node_id: int) -> bool:
+        """True iff the subtree at node_id contains a cprev or dprev leaf."""
+        if self._memory is None:
+            memory: dict[int, bool] = {}
+            for nid in self.postorder():
+                node = self.nodes[nid]
+                memory[nid] = node.kind in MEMORY_LEAVES or any(memory[c] for c in node.children)
+            object.__setattr__(self, "_memory", memory)
+        return self._memory[node_id]
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -196,10 +198,7 @@ def has_memory_path(tree: NodeTree, node_id: int) -> bool:
     """True iff the subtree at node_id contains a cprev or dprev leaf."""
     if node_id not in tree.nodes:
         raise KeyError(f"unknown node id {node_id}")
-    for nid in tree.preorder(node_id):
-        if tree.nodes[nid].kind in MEMORY_LEAVES:
-            return True
-    return False
+    return tree.reaches_memory(node_id)
 
 
 def validate(tree: NodeTree) -> list[Violation]:
@@ -215,10 +214,6 @@ def validate(tree: NodeTree) -> list[Violation]:
         report.append(Violation("height-min", None, f"height {h} below minimum {MIN_HEIGHT}"))
     if h > MAX_HEIGHT:
         report.append(Violation("height-max", None, f"height {h} above maximum {MAX_HEIGHT}"))
-    memory: dict[int, bool] = {}
-    for nid in tree.postorder():
-        node = tree.nodes[nid]
-        memory[nid] = node.kind in MEMORY_LEAVES or any(memory[c] for c in node.children)
     for nid in tree.preorder():
         node = tree.nodes[nid]
         if is_nonlinear(node.kind):
@@ -231,7 +226,7 @@ def validate(tree: NodeTree) -> list[Violation]:
         if node.tap is not None:
             if nid == tree.root:
                 report.append(Violation("tap-on-root", nid, f"root node {nid} carries tap {node.tap}"))
-            elif not memory[nid]:
+            elif not tree.reaches_memory(nid):
                 report.append(Violation(
                     "tap-without-memory", nid,
                     f"node {nid} tapped to {node.tap} but its subtree has no memory leaf"))
@@ -291,23 +286,28 @@ def _split_tap(token: str) -> tuple[str, Optional[str]]:
 def node_text(tree: NodeTree, node_id: int) -> str:
     """Render a subtree in the genome grammar (parenthesized prefix form)."""
     node = tree.nodes[node_id]
+    return text_label(node, [node_text(tree, c) for c in node.children])
+
+
+def text_label(node: TreeNode, children: list[str]) -> str:
+    """One node in the genome grammar, given its children's renderings."""
     name = node.kind if node.tap is None else f"{node.kind}@{node.tap}"
-    if not node.children:
-        return name
-    inner = " ".join(node_text(tree, c) for c in node.children)
-    return f"({name} {inner})"
+    return "(" + name + " " + " ".join(children) + ")" if children else name
+
+
+def shape_label(node: TreeNode, children: list[str]) -> str:
+    """Kind-blind shape: leaves 'o', unary '(u..)', binary '(b..)'."""
+    if not children:
+        return "o"
+    return "(" + ("u" if len(children) == 1 else "b") + "".join(children) + ")"
 
 
 def strip_invalid_taps(tree: NodeTree) -> NodeTree:
     """Repair pass: drop taps on the root or on nodes without a memory path."""
-    memory: dict[int, bool] = {}
-    for nid in tree.postorder():
-        node = tree.nodes[nid]
-        memory[nid] = node.kind in MEMORY_LEAVES or any(memory[c] for c in node.children)
     changed = False
     nodes: dict[int, TreeNode] = {}
     for nid, node in tree.nodes.items():
-        if node.tap is not None and (nid == tree.root or not memory[nid]):
+        if node.tap is not None and (nid == tree.root or not tree.reaches_memory(nid)):
             nodes[nid] = TreeNode(nid, node.kind, node.children, None)
             changed = True
         else:
@@ -323,39 +323,41 @@ def with_generation(tree: NodeTree, generation: int) -> NodeTree:
     return NodeTree(tree.root, tree.nodes, generation)
 
 
+def sort_commutative(tree: NodeTree,
+                     label: Callable[[TreeNode, list[str]], str]) -> tuple[Expr, str]:
+    """Order every add/mul node's children by (subtree size, height, label).
+
+    One postorder pass; ``label(node, child_labels)`` renders a node from
+    its children's labels, already in sorted order.  Returns the reordered
+    expression and the root's label.  This is the one commutative ordering:
+    the text label gives the canonical key, the shape label the rotation
+    used for homologous matching.
+    """
+    done: dict[int, tuple[Expr, int, int, str]] = {}
+    for nid in tree.postorder():
+        node = tree.nodes[nid]
+        kids = [done.pop(c) for c in node.children]
+        if node.kind in LINEAR:
+            kids.sort(key=lambda k: k[1:])
+        done[nid] = ((node.kind, node.tap, tuple(k[0] for k in kids)),
+                     1 + sum(k[1] for k in kids), 1 + max((k[2] for k in kids), default=0),
+                     label(node, [k[3] for k in kids]))
+    expr, _, _, text = done[tree.root]
+    return expr, text
+
+
 def canonicalize(tree: NodeTree) -> NodeTree:
-    """Order every add/mul node's children by (subtree size, height, text).
+    """Sort commutative children by (size, height, text).
 
     The result is isomorphic under child swaps to the input, idempotent,
-    and identical for mirror-image trees, so it doubles as the genome's
-    canonical serialization key.
+    and identical for mirror-image trees.
     """
-    sizes: dict[int, int] = {}
-    for nid in tree.postorder():
-        sizes[nid] = 1 + sum(sizes[c] for c in tree.nodes[nid].children)
-
-    def rebuild(nid: int) -> tuple[Expr, int, int, str]:
-        node = tree.nodes[nid]
-        built = [rebuild(c) for c in node.children]
-        if is_linear(node.kind):
-            built.sort(key=lambda item: (item[1], item[2], item[3]))
-        expr = (node.kind, node.tap, tuple(item[0] for item in built))
-        hgt = 1 + max((item[2] for item in built), default=0)
-        name = node.kind if node.tap is None else f"{node.kind}@{node.tap}"
-        if built:
-            text = "(" + name + " " + " ".join(item[3] for item in built) + ")"
-        else:
-            text = name
-        return expr, sizes[nid], hgt, text
-
-    expr, _, _, _ = rebuild(tree.root)
-    return expr_to_tree(expr, tree.generation_born)
+    return expr_to_tree(sort_commutative(tree, text_label)[0], tree.generation_born)
 
 
 def canonical_text(tree: NodeTree) -> str:
     """Serialization of the canonical form; the genome identity key."""
-    canon = canonicalize(tree)
-    return node_text(canon, canon.root)
+    return sort_commutative(tree, text_label)[1]
 
 
 def leaf_kinds(tree: NodeTree) -> list[str]:

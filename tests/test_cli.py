@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from treecell import cli
 from treecell.cli import main
 from treecell.config import ExperimentConfig, save_config
 from treecell.grammar import parse, serialize, write_population
@@ -162,6 +163,46 @@ def test_evolve_resume_finished_run_is_noop(tmp_path, capsys):
     assert (out_dir / "stats.csv").read_bytes() == first
 
 
+EVOLVE_FILES = ("stats.csv", "lineage.log", "best.genome")
+
+
+def evolve_outputs(tmp_path, name, generations, resume=False):
+    cfg_dir = tmp_path / f"{name}-{generations}"
+    cfg_dir.mkdir(exist_ok=True)
+    cfg = tiny_config(cfg_dir, **{"evolution.generations": generations})
+    out_dir = tmp_path / name
+    assert main(["evolve", "--config", str(cfg), "--out", str(out_dir), "--precision", "64"]
+                + (["--resume"] if resume else [])) == 0
+    return {f: (out_dir / f).read_bytes() for f in EVOLVE_FILES}
+
+
+def test_evolve_interrupt_and_resume_matches_straight_run(tmp_path):
+    evolve_outputs(tmp_path, "split", 2)
+    resumed = evolve_outputs(tmp_path, "split", 4, resume=True)
+    assert resumed == evolve_outputs(tmp_path, "straight", 4)
+
+
+def test_evolve_resume_after_crash_before_checkpoint(tmp_path, monkeypatch):
+    """A crash between the lineage append and the checkpoint write must not
+    duplicate lineage lines on resume."""
+    real_write = cli.atomic_write
+    checkpoints = []
+
+    def crash_on_second_checkpoint(path, content):
+        if Path(path).name == "checkpoint.json":
+            checkpoints.append(path)
+            if len(checkpoints) == 2:
+                raise OSError("simulated crash")
+        real_write(path, content)
+
+    monkeypatch.setattr(cli, "atomic_write", crash_on_second_checkpoint)
+    with pytest.raises(OSError, match="simulated crash"):
+        evolve_outputs(tmp_path, "crashed", 3)
+    monkeypatch.undo()
+    resumed = evolve_outputs(tmp_path, "crashed", 3, resume=True)
+    assert resumed == evolve_outputs(tmp_path, "straight", 3)
+
+
 def test_meta_cli_round_trip(tmp_path, capsys):
     dataset = tmp_path / "curves.csv"
     samples, _ = synthetic_curves(120, seed=8)
@@ -233,3 +274,13 @@ def test_evolve_corrupt_checkpoint_is_clean_error(tmp_path, capsys):
     assert main(["evolve", "--config", str(cfg), "--out", str(out_dir),
                  "--resume"]) == 1
     assert "corrupt checkpoint" in capsys.readouterr().err
+
+
+def test_evolve_refuses_version_1_checkpoint(tmp_path, capsys):
+    cfg = tiny_config(tmp_path)
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    (out_dir / "checkpoint.json").write_text('{"version": 1}')
+    assert main(["evolve", "--config", str(cfg), "--out", str(out_dir),
+                 "--resume"]) == 1
+    assert "unsupported checkpoint version" in capsys.readouterr().err

@@ -3,8 +3,10 @@
 The digests pin three end-to-end paths at 64-bit precision: a smoke
 ``evolve`` run (homogeneous networks), a small curve-predictor fit, and a
 two-network ``hetero`` sweep with two layers, two slots per layer and
-dropout on.  A change that alters numerics on purpose updates the
-digests and says why in CHANGES.md.
+dropout on.  A fourth digest pins the tree layer and the genetic
+operators over a few hundred seeded random genomes.  A change that alters
+numerics or operator behaviour on purpose updates the digests and says
+why in CHANGES.md.
 """
 
 import hashlib
@@ -15,9 +17,12 @@ import pytest
 
 from treecell.cli import main
 from treecell.config import ExperimentConfig, save_config
-from treecell.genetic import random_genome
-from treecell.grammar import write_population
+from treecell.genetic import (crossover_homologous, mutate_insert, mutate_pipeline,
+                              mutate_replace, mutate_shrink, random_genome,
+                              shared_region, tree_distance)
+from treecell.grammar import serialize, write_population
 from treecell.meta import MetaConfig, synthetic_curves, train_meta
+from treecell.tree import canonical_text, canonicalize
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 EVOLVE_FILES = ("stats.csv", "lineage.log", "best.genome")
@@ -30,6 +35,7 @@ SMOKE_EVOLVE_DIGESTS = {
 META_PARAMS_DIGEST = "03e2bde0459c2de119acfbce18ce2c5fc1df331934eed8f6fabe4be89ef92b1d"
 META_PREDICTIONS_DIGEST = "b321ca8d902ace688c3e7a56c6a4ca9f0e1b41dcf53418bc8e70eae7fcdcc038"
 HETERO_CSV_DIGEST = "e4f2885e71da33f9d47993416126490cf6dd136c3ecace8fc36d8efa32230d63"
+OPERATOR_DIGEST = "88fbae81dc0003040868785ec69a6948cd3f3ad81c5ee767c1d420f041f275d3"
 
 
 def sha256(data: bytes) -> str:
@@ -105,3 +111,29 @@ def test_hetero_csv_digest(tmp_path):
     assert main(["hetero", str(pool), "--config", str(config_path),
                  "--count", "2", "--out", str(out)]) == 0
     assert sha256(out.read_bytes()) == HETERO_CSV_DIGEST
+
+
+def operator_records(seed: int, partner):
+    """Everything the tree layer and the operators derive from one genome."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    g = random_genome(rng)
+    region = shared_region(g, partner)
+    out = [canonical_text(g), serialize(canonicalize(g)),
+           serialize(region.tree_a), serialize(region.tree_b), repr(region.pairs),
+           str(region.n_shared), str(region.depth_shared), repr(tree_distance(g, partner))]
+    for op, args in ((mutate_replace, ()), (mutate_insert, (0.5,)), (mutate_shrink, ()),
+                     (mutate_pipeline, (0.5, 0.3, 0.3))):
+        child = op(g, rng, *args)
+        out += [op.__name__, serialize(child), str(child is g)]
+    ca, cb = crossover_homologous(g, partner, rng)
+    out += [serialize(ca), serialize(cb), str(ca is g), str(cb is partner), str(rng.random())]
+    return g, out
+
+
+def test_operator_digest():
+    h = hashlib.sha256()
+    partner = random_genome(np.random.Generator(np.random.PCG64(10_000)))
+    for seed in range(300):
+        partner, records = operator_records(seed, partner)
+        h.update("\n".join(records).encode() + b"\n\n")
+    assert h.hexdigest() == OPERATOR_DIGEST

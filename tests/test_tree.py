@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from treecell import tree as T
 from treecell.genetic import random_genome
+from treecell.grammar import serialize
 from treecell.tree import (
     NodeTree,
     StructureError,
     TreeNode,
     build_tree,
+    canonical_text,
     canonicalize,
     has_memory_path,
     height,
@@ -117,6 +119,7 @@ def test_canonicalize_idempotent_and_preserving(seed):
     c1 = canonicalize(t)
     c2 = canonicalize(c1)
     assert T.node_text(c1, c1.root) == T.node_text(c2, c2.root)
+    assert canonical_text(t) == serialize(c1)
     assert validate(c1) == []
     assert size(c1) == size(t)
     assert height(c1) == height(t)
