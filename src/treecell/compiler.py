@@ -3,14 +3,18 @@
 The compiled cell is a topologically ordered list of primitive ops over
 ten input slots (x0..x7, cprev, dprev).  Identical subtrees share one op
 (all ops are pure), internal edges carry no weights, and evaluation is
-elementwise over arbitrarily shaped unit arrays.  The reverse pass
-replays the forward tape and accumulates exact adjoints, including
-through input reuse and the c/d output taps.
+elementwise over arbitrarily shaped unit arrays.  Each distinct op list
+is turned, once per process, into Python source for two straight-line
+numpy functions: a forward step that keeps every slot in a local, and
+its reverse, which replays the forward tape and accumulates exact
+adjoints, including through input reuse and the c/d output taps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -34,6 +38,14 @@ class CompiledCell:
     h_slot: int
     c_slots: tuple[int, ...]          # tapped sources summed into c; empty = pass-through
     d_slots: tuple[int, ...]
+    # the generated straight-line kernels, shared by every cell with this op list
+    forward: Callable = field(init=False, compare=False, repr=False)
+    backward: Callable = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        forward, backward = _kernels(self.ops, self.h_slot, self.c_slots, self.d_slots)
+        object.__setattr__(self, "forward", forward)
+        object.__setattr__(self, "backward", backward)
 
     @property
     def n_slots(self) -> int:
@@ -92,30 +104,9 @@ def compile_tree(tree: NodeTree) -> CompiledCell:
     return CompiledCell(tuple(ops), node_to_slot[tree.root], c_slots, d_slots)
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
-    # branch on sign so exp never overflows
-    out = np.empty_like(a)
-    pos = a >= 0
-    neg = ~pos
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[neg])
-    out[neg] = ea / (1.0 + ea)
-    return out
-
-
-def _eval_op(op: Op, values: list) -> np.ndarray:
-    a = values[op.args[0]]
-    if op.func == "add":
-        return a + values[op.args[1]]
-    if op.func == "mul":
-        return a * values[op.args[1]]
-    if op.func == "tanh":
-        return np.tanh(a)
-    if op.func == "sigmoid":
-        return _sigmoid(np.asarray(a))
-    if op.func == "relu":
-        return np.maximum(a, 0.0)
-    raise ValueError(f"unknown op {op.func}")
+def _finite(x) -> bool:
+    # one ufunc reduction; cheaper per call than np.all on these small arrays
+    return np.logical_and.reduce(np.isfinite(x), axis=None)
 
 
 def cell_forward(cell: CompiledCell, base_inputs, state: CellState,
@@ -123,38 +114,21 @@ def cell_forward(cell: CompiledCell, base_inputs, state: CellState,
     """One step of the cell, elementwise per unit.
 
     ``base_inputs`` holds the eight tree inputs, shape (8, *unit_shape);
-    returns the new CellState, plus the forward tape when ``record``.
-    Untapped outputs pass the previous memory value through unchanged.
+    returns the new CellState, plus the forward tape (the value of every
+    slot, indexed by slot) when ``record``.  Untapped outputs pass the
+    previous memory value through unchanged.
     """
     base = np.asarray(base_inputs)
     if base.shape[0] != T.N_BASE_INPUTS:
         raise ValueError(f"expected {T.N_BASE_INPUTS} base inputs, got {base.shape[0]}")
     if base.shape[1:] != state.c.shape:
         raise ValueError(f"width mismatch: inputs {base.shape[1:]}, state {state.c.shape}")
-    if not (np.all(np.isfinite(base)) and np.all(np.isfinite(state.c))
-            and np.all(np.isfinite(state.d))):
+    if not (_finite(base) and _finite(state.c) and _finite(state.d)):
         raise ValueError("non-finite cell input")
-    values: list = [base[k] for k in range(T.N_BASE_INPUTS)]
-    values.append(state.c)
-    values.append(state.d)
-    for op in cell.ops:
-        values.append(_eval_op(op, values))
-    h = values[cell.h_slot]
-    if cell.c_slots:
-        c = values[cell.c_slots[0]]
-        for s in cell.c_slots[1:]:
-            c = c + values[s]
-    else:
-        c = state.c
-    if cell.d_slots:
-        d = values[cell.d_slots[0]]
-        for s in cell.d_slots[1:]:
-            d = d + values[s]
-    else:
-        d = state.d
-    new_state = CellState(np.asarray(h), np.asarray(c), np.asarray(d))
+    h, c, d, tape = cell.forward(base, state.c, state.d)
+    new_state = CellState(h, c, d)
     if record:
-        return new_state, values
+        return new_state, tape
     return new_state
 
 
@@ -170,54 +144,108 @@ def cell_backward(cell: CompiledCell, tape, grad_h, grad_c, grad_d) -> CellGrads
 
     ``tape`` is the values list from a recorded forward.  Fan-out (input
     reuse and shared subtrees) accumulates; relu's derivative at 0 is 0.
+    ``base`` is a view of a (*unit_shape[:-1], 8, unit_shape[-1]) array.
     """
     if tape is None or len(tape) != cell.n_slots:
         raise ValueError("missing or mismatched forward tape")
-    adj = [None] * cell.n_slots
+    return CellGrads(*cell.backward(tape, grad_h, grad_c, grad_d))
 
-    def accumulate(slot, g):
-        if adj[slot] is None:
-            adj[slot] = np.array(g, dtype=tape[slot].dtype)
+
+# --- kernel generation ---------------------------------------------------------
+
+# op -> (forward expression, adjoint term added to each argument in turn);
+# {0}, {1} are the arguments, {out} the op's value and {g} its adjoint.
+# sigmoid is 1 / (1 + e^-a) for a >= 0 and e^a / (1 + e^a) below, so exp
+# never overflows.
+_RULES = {
+    "add": ("{0} + {1}", ("{g}", "{g}")),
+    "mul": ("{0} * {1}", ("{g} * {1}", "{g} * {0}")),
+    "tanh": ("tanh({0})", ("{g} * (1.0 - {out} ** 2)",)),
+    "sigmoid": ("where({0} >= 0, 1.0, e := exp(-absolute({0}))) / (1.0 + e)",
+                ("{g} * {out} * (1.0 - {out})",)),
+    "relu": ("maximum({0}, 0.0)", ("{g} * ({0} > 0)",)),
+}
+
+
+def _adjoint_buffer(shape, dtype, fill: bool) -> np.ndarray:
+    """An (8, *shape) array stored as (*shape[:-1], 8, shape[-1]).
+
+    That storage is the (batch, 8 * width) layout of a layer's projection
+    adjoint, so the layer reshapes it without a copy.
+    """
+    n = len(shape)
+    buf = (np.zeros if fill else np.empty)(shape[:-1] + (T.N_BASE_INPUTS,) + shape[-1:], dtype)
+    return buf.transpose((n - 1, *range(n - 1), n)) if n else buf
+
+
+def _kernel_source(ops, h_slot: int, c_slots, d_slots) -> str:
+    """Python source of ``forward`` and ``backward`` for one op list.
+
+    Slots are locals ``v<slot>`` and adjoints ``g<slot>``.  The backward
+    walks the ops in reverse and adds each contribution to an adjoint in
+    the order a slot-by-slot replay of the tape would, so the rounding of
+    every sum is fixed by the op list alone.
+    """
+    n = N_INPUT_SLOTS + len(ops)
+    tape = ", ".join(f"v{s}" for s in range(n))
+    fwd = ["def forward(base, v8, v9):",
+           "    " + ", ".join(f"v{k}" for k in range(T.N_BASE_INPUTS)) + " = base"]
+    for slot, op in enumerate(ops, N_INPUT_SLOTS):
+        fwd.append(f"    v{slot} = " + _RULES[op.func][0].format(*(f"v{s}" for s in op.args)))
+    c = " + ".join(f"v{s}" for s in c_slots) or f"v{SLOT_CPREV}"
+    d = " + ".join(f"v{s}" for s in d_slots) or f"v{SLOT_DPREV}"
+    fwd.append(f"    return v{h_slot}, {c}, {d}, [{tape}]")
+
+    bwd = ["def backward(tape, gh, gc, gd):", f"    {tape} = tape"]
+    seen: set[int] = set()
+
+    def accumulate(slot: int, term: str) -> None:
+        if slot in seen:
+            bwd.append(f"    g{slot} = g{slot} + {term}")
         else:
-            adj[slot] = adj[slot] + g
+            seen.add(slot)
+            bwd.append(f"    g{slot} = {term}")
 
-    accumulate(cell.h_slot, grad_h)
-    for s in cell.c_slots:
-        accumulate(s, grad_c)
-    for s in cell.d_slots:
-        accumulate(s, grad_d)
-    for i in range(len(cell.ops) - 1, -1, -1):
-        slot = N_INPUT_SLOTS + i
-        g = adj[slot]
-        if g is None:
+    accumulate(h_slot, "gh")
+    for s in c_slots:
+        accumulate(s, "gc")
+    for s in d_slots:
+        accumulate(s, "gd")
+    for slot in range(n - 1, N_INPUT_SLOTS - 1, -1):
+        if slot not in seen:
             continue
-        op = cell.ops[i]
-        if op.func == "add":
-            accumulate(op.args[0], g)
-            accumulate(op.args[1], g)
-        elif op.func == "mul":
-            accumulate(op.args[0], g * tape[op.args[1]])
-            accumulate(op.args[1], g * tape[op.args[0]])
-        elif op.func == "tanh":
-            accumulate(op.args[0], g * (1.0 - tape[slot] ** 2))
-        elif op.func == "sigmoid":
-            accumulate(op.args[0], g * tape[slot] * (1.0 - tape[slot]))
-        elif op.func == "relu":
-            accumulate(op.args[0], g * (tape[op.args[0]] > 0))
-    shape = np.shape(grad_h)
-    dtype = tape[cell.h_slot].dtype
+        op = ops[slot - N_INPUT_SLOTS]
+        args = [f"v{s}" for s in op.args]
+        for arg, term in zip(op.args, _RULES[op.func][1]):
+            accumulate(arg, term.format(*args, g=f"g{slot}", out=f"v{slot}"))
+    used = [k for k in range(T.N_BASE_INPUTS) if k in seen]
+    dtype = f"v{h_slot}.dtype"
+    bwd.append(f"    base = _adjoint_buffer(gh.shape, {dtype}, {len(used) < T.N_BASE_INPUTS})")
+    bwd.extend(f"    base[{k}] = g{k}" for k in used)
+    outs = []
+    for slot, taps, seed in ((SLOT_CPREV, c_slots, "gc"), (SLOT_DPREV, d_slots, "gd")):
+        if slot in seen:
+            outs.append(f"g{slot}" if taps else f"g{slot} + {seed}")
+        elif taps:
+            outs.append(f"zeros(gh.shape, {dtype})")
+        else:
+            outs.append(f"{seed} + 0.0")  # pass-through; == 0 + seed bit for bit
+    bwd.append(f"    return base, {outs[0]}, {outs[1]}")
+    return "\n".join(fwd + [""] + bwd) + "\n"
 
-    def take(slot):
-        return adj[slot] if adj[slot] is not None else np.zeros(shape, dtype)
 
-    base = np.stack([take(k) for k in range(T.N_BASE_INPUTS)])
-    c_prev = take(SLOT_CPREV)
-    d_prev = take(SLOT_DPREV)
-    if not cell.c_slots:
-        c_prev = c_prev + grad_c  # pass-through: identity gradient
-    if not cell.d_slots:
-        d_prev = d_prev + grad_d
-    return CellGrads(base, c_prev, d_prev)
+_KERNEL_GLOBALS = {"absolute": np.absolute, "exp": np.exp, "maximum": np.maximum,
+                   "tanh": np.tanh, "where": np.where, "zeros": np.zeros,
+                   "_adjoint_buffer": _adjoint_buffer}
+
+
+# bounded: a long search meets thousands of distinct cells, ~6 KiB of code each
+@functools.lru_cache(maxsize=512)
+def _kernels(ops, h_slot: int, c_slots, d_slots) -> tuple[Callable, Callable]:
+    namespace = dict(_KERNEL_GLOBALS)
+    exec(compile(_kernel_source(ops, h_slot, c_slots, d_slots), "<cell kernel>", "exec"),
+         namespace)
+    return namespace["forward"], namespace["backward"]
 
 
 def lstm_reference_tree() -> NodeTree:

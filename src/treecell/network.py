@@ -157,7 +157,10 @@ class RecurrentLayers:
                                    carry[li].c, carry[li].d)
                 dbase, dc_prev, dd_prev = cg.base, cg.c_prev, cg.d_prev
             else:
-                dbase = np.empty((N_BASE_INPUTS, batch, width), dtype=self.dtype)
+                # stored as (batch, 8, width), like a cell's own base adjoint,
+                # so dpre below is a view
+                dbase = np.empty((batch, N_BASE_INPUTS, width),
+                                 dtype=self.dtype).transpose(1, 0, 2)
                 dc_prev = np.empty((batch, width), dtype=self.dtype)
                 dd_prev = np.empty_like(dc_prev)
                 for (cell, lo, hi), tape in zip(slots, cache["tapes"]):

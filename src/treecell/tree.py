@@ -85,7 +85,7 @@ class NodeTree:
     """
 
     __slots__ = ("root", "nodes", "generation_born", "_order", "_depths", "_heights",
-                 "_memory")
+                 "_memory", "_report")
 
     def __init__(self, root: int, nodes: dict[int, TreeNode], generation_born: int = 0):
         object.__setattr__(self, "root", root)
@@ -95,6 +95,7 @@ class NodeTree:
         object.__setattr__(self, "_depths", None)
         object.__setattr__(self, "_heights", None)
         object.__setattr__(self, "_memory", None)
+        object.__setattr__(self, "_report", None)
         _check_structure(self)
 
     def __setattr__(self, name, value):
@@ -204,10 +205,16 @@ def has_memory_path(tree: NodeTree, node_id: int) -> bool:
 def validate(tree: NodeTree) -> list[Violation]:
     """Check every genome rule; an empty list means the tree is valid.
 
-    Structural defects raise :class:`StructureError` instead of being
-    reported (they are a different failure class from rule violations).
+    Structural defects are a different failure class from rule violations:
+    they raise :class:`StructureError` when the tree is built.  The report
+    is computed once per tree and kept on it.
     """
-    _check_structure(tree)
+    if tree._report is None:
+        object.__setattr__(tree, "_report", tuple(_violations(tree)))
+    return list(tree._report)
+
+
+def _violations(tree: NodeTree) -> list[Violation]:
     report: list[Violation] = []
     h = height(tree)
     if h < MIN_HEIGHT:
@@ -358,11 +365,6 @@ def canonicalize(tree: NodeTree) -> NodeTree:
 def canonical_text(tree: NodeTree) -> str:
     """Serialization of the canonical form; the genome identity key."""
     return sort_commutative(tree, text_label)[1]
-
-
-def leaf_kinds(tree: NodeTree) -> list[str]:
-    """Multiset of leaf kinds, in preorder."""
-    return [tree.nodes[n].kind for n in tree.preorder() if is_leaf(tree.nodes[n].kind)]
 
 
 def seed_tree() -> NodeTree:

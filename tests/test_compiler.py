@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treecell import tree as T
 from treecell.compiler import (
@@ -16,7 +20,15 @@ from treecell.grammar import parse, serialize
 from treecell.tree import build_tree, seed_tree, validate
 
 
-from oracles import closed_form_lstm, finite_difference_check, rng_for
+from oracles import (
+    closed_form_lstm,
+    finite_difference_check,
+    interpret_backward,
+    interpret_forward,
+    rng_for,
+)
+
+DEEP_GENOME = Path(__file__).resolve().parent.parent / "perfbench" / "panel" / "deep.genome"
 
 
 def test_lstm_reference_tree_is_valid_and_uses_four_inputs():
@@ -167,3 +179,57 @@ def test_forward_rejects_bad_inputs():
         cell_forward(cell, bad, zero_state(3))
     with pytest.raises(ValueError):
         cell_backward(cell, None, np.zeros(3), np.zeros(3), np.zeros(3))
+
+
+# one shared subtree tapped to both c and d, and x0 read four times, so
+# slots receive three or more adjoint contributions
+SHARED_TAPS = build_tree(
+    ("tanh", ("add",
+              ("mul", ("sigmoid", ("add@c", ("mul", "x0", "cprev"), "dprev")),
+               ("add@d", ("mul", "x0", "cprev"), "dprev")),
+              ("add", "x0", ("add", "x0", "x1")))))
+
+KERNEL_GENOMES = st.one_of(
+    st.sampled_from([lstm_reference_tree(), seed_tree(), parse(DEEP_GENOME.read_text()),
+                     SHARED_TAPS]),
+    st.builds(lambda seed, steps: random_genome(rng_for(seed), steps=steps),
+              st.integers(0, 10_000), st.sampled_from([2, 8, 20, 40])))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(genome=KERNEL_GENOMES, batch=st.sampled_from([None, 3]), width=st.integers(1, 6),
+       scale=st.sampled_from([1.0, 30.0, 800.0]), seed=st.integers(0, 2**32 - 1))
+def test_kernels_match_interpreter_bit_for_bit(genome, batch, width, scale, seed):
+    cell = compile_tree(genome)
+    rng = rng_for(seed)
+    unit = (width,) if batch is None else (batch, width)
+
+    def draw(shape):
+        # up to ~800 so exp overflows, with +0.0 and -0.0 at relu's kink
+        x = rng.uniform(-scale, scale, size=shape)
+        x[rng.random(shape) < 0.1] = 0.0
+        x[rng.random(shape) < 0.05] = -0.0
+        return x
+
+    if batch is None:
+        base = draw((8, width))
+    else:  # the strided view of the projection that a layer passes
+        base = draw((batch, 8 * width)).reshape(batch, 8, width).transpose(1, 0, 2)
+    state = CellState(draw(unit), draw(unit), draw(unit))
+    grads = [draw(unit) for _ in range(3)]
+    with np.errstate(all="ignore"):
+        out, tape = cell_forward(cell, base, state, record=True)
+        ref, ref_tape = interpret_forward(cell, base, state, record=True)
+        back = cell_backward(cell, tape, *grads)
+        ref_back = interpret_backward(cell, ref_tape, *grads)
+    assert len(tape) == len(ref_tape) == cell.n_slots
+    for slot, (a, b) in enumerate(zip(tape, ref_tape)):
+        assert np.array_equal(_bits(a), _bits(b)), f"tape slot {slot}"
+    for name in ("h", "c", "d"):
+        assert np.array_equal(_bits(getattr(out, name)), _bits(getattr(ref, name))), name
+    for name in ("base", "c_prev", "d_prev"):
+        assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(ref_back, name))), name

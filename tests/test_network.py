@@ -15,6 +15,7 @@ from treecell.network import (
 )
 from treecell.training import (
     TrainConfig,
+    TrainingDiverged,
     clip_gradients,
     eval_perplexity,
     global_norm,
@@ -22,7 +23,7 @@ from treecell.training import (
     softmax_ce,
     train,
 )
-from treecell.tree import build_tree
+from treecell.tree import build_tree, validate
 
 
 def rng_for(seed):
@@ -146,6 +147,24 @@ def test_training_deterministic_given_seed():
                              dropout_rec=0.1, seed=11, check_grad_norm=True)
         curves.append(train(net, task, config).metrics)
     assert curves[0] == curves[1]  # bit-identical
+
+
+def test_memory_overflow_stops_training_in_the_chunk_that_reads_it():
+    """d(t) = d(t-1)^2 + sigmoid(x0) overflows to inf in the second chunk,
+    while h = tanh(...) stays finite.  The per-step guard on the carried-in
+    d stops training in that chunk; a check on h or on the loss alone would
+    fire only a chunk later, once NaN gradients reach the parameters."""
+    genome = build_tree(("tanh", ("add", ("add", ("add", ("add", "x1", "x2"), "x3"), "x4"),
+                                  ("add@d", ("mul", "dprev", "dprev"), ("sigmoid", "x0")))))
+    assert validate(genome) == []
+    task = delayed_copy_task(vocab_size=5, delay=2, train_tokens=800,
+                             valid_tokens=300, test_tokens=300, seed=0)
+    net = build_network(homogeneous_spec(6, 1, 4, vocab_size=5), [genome], rng_for(0))
+    config = TrainConfig(unroll_steps=10, batch_size=4, epochs=2, optimizer="adam",
+                         lr=0.01, dropout_ff=0.0, dropout_rec=0.0, seed=0)
+    with pytest.raises(TrainingDiverged) as info:
+        train(net, task, config)
+    assert (info.value.epoch, info.value.batch) == (1, 1)
 
 
 def test_zero_lr_freezes_metric():

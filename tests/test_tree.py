@@ -30,7 +30,7 @@ def test_seed_tree_is_valid_and_height_six():
     assert validate(t) == []
     assert height(t) == 6
     assert size(t) == 20
-    leaves = sorted(T.leaf_kinds(t))
+    leaves = sorted(n.kind for n in t.nodes.values() if T.is_leaf(n.kind))
     assert leaves == sorted(list(T.BASE_INPUTS) + list(T.MEMORY_LEAVES))
 
 
@@ -123,7 +123,8 @@ def test_canonicalize_idempotent_and_preserving(seed):
     assert validate(c1) == []
     assert size(c1) == size(t)
     assert height(c1) == height(t)
-    assert sorted(T.leaf_kinds(c1)) == sorted(T.leaf_kinds(t))
+    assert (sorted(n.kind for n in c1.nodes.values() if T.is_leaf(n.kind))
+            == sorted(n.kind for n in t.nodes.values() if T.is_leaf(n.kind)))
 
 
 def test_untagged_output_is_passthrough_by_construction():
