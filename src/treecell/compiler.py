@@ -139,16 +139,17 @@ class CellGrads:
     d_prev: np.ndarray
 
 
-def cell_backward(cell: CompiledCell, tape, grad_h, grad_c, grad_d) -> CellGrads:
+def cell_backward(cell: CompiledCell, tape, grad_h, grad_c, grad_d, out=None) -> CellGrads:
     """Exact reverse-mode adjoints of (h, c, d) w.r.t. the ten input slots.
 
     ``tape`` is the values list from a recorded forward.  Fan-out (input
     reuse and shared subtrees) accumulates; relu's derivative at 0 is 0.
-    ``base`` is a view of a (*unit_shape[:-1], 8, unit_shape[-1]) array.
+    ``base`` is written into ``out``, an (8, *unit_shape) array, when given;
+    otherwise it is a view of a new (*unit_shape[:-1], 8, unit_shape[-1]) array.
     """
     if tape is None or len(tape) != cell.n_slots:
         raise ValueError("missing or mismatched forward tape")
-    return CellGrads(*cell.backward(tape, grad_h, grad_c, grad_d))
+    return CellGrads(*cell.backward(tape, grad_h, grad_c, grad_d, out))
 
 
 # --- kernel generation ---------------------------------------------------------
@@ -167,14 +168,14 @@ _RULES = {
 }
 
 
-def _adjoint_buffer(shape, dtype, fill: bool) -> np.ndarray:
-    """An (8, *shape) array stored as (*shape[:-1], 8, shape[-1]).
+def _adjoint_buffer(shape, dtype) -> np.ndarray:
+    """An uninitialised (8, *shape) array stored as (*shape[:-1], 8, shape[-1]).
 
     That storage is the (batch, 8 * width) layout of a layer's projection
     adjoint, so the layer reshapes it without a copy.
     """
     n = len(shape)
-    buf = (np.zeros if fill else np.empty)(shape[:-1] + (T.N_BASE_INPUTS,) + shape[-1:], dtype)
+    buf = np.empty(shape[:-1] + (T.N_BASE_INPUTS,) + shape[-1:], dtype)
     return buf.transpose((n - 1, *range(n - 1), n)) if n else buf
 
 
@@ -184,7 +185,8 @@ def _kernel_source(ops, h_slot: int, c_slots, d_slots) -> str:
     Slots are locals ``v<slot>`` and adjoints ``g<slot>``.  The backward
     walks the ops in reverse and adds each contribution to an adjoint in
     the order a slot-by-slot replay of the tape would, so the rounding of
-    every sum is fixed by the op list alone.
+    every sum is fixed by the op list alone.  It writes all eight base
+    adjoints into ``base``, zero for inputs the cell does not read.
     """
     n = N_INPUT_SLOTS + len(ops)
     tape = ", ".join(f"v{s}" for s in range(n))
@@ -196,7 +198,7 @@ def _kernel_source(ops, h_slot: int, c_slots, d_slots) -> str:
     d = " + ".join(f"v{s}" for s in d_slots) or f"v{SLOT_DPREV}"
     fwd.append(f"    return v{h_slot}, {c}, {d}, [{tape}]")
 
-    bwd = ["def backward(tape, gh, gc, gd):", f"    {tape} = tape"]
+    bwd = ["def backward(tape, gh, gc, gd, base):", f"    {tape} = tape"]
     seen: set[int] = set()
 
     def accumulate(slot: int, term: str) -> None:
@@ -218,10 +220,11 @@ def _kernel_source(ops, h_slot: int, c_slots, d_slots) -> str:
         args = [f"v{s}" for s in op.args]
         for arg, term in zip(op.args, _RULES[op.func][1]):
             accumulate(arg, term.format(*args, g=f"g{slot}", out=f"v{slot}"))
-    used = [k for k in range(T.N_BASE_INPUTS) if k in seen]
     dtype = f"v{h_slot}.dtype"
-    bwd.append(f"    base = _adjoint_buffer(gh.shape, {dtype}, {len(used) < T.N_BASE_INPUTS})")
-    bwd.extend(f"    base[{k}] = g{k}" for k in used)
+    bwd.append("    if base is None:")
+    bwd.append(f"        base = _adjoint_buffer(gh.shape, {dtype})")
+    bwd.extend(f"    base[{k}] = " + (f"g{k}" if k in seen else "0.0")
+               for k in range(T.N_BASE_INPUTS))
     outs = []
     for slot, taps, seed in ((SLOT_CPREV, c_slots, "gc"), (SLOT_DPREV, d_slots, "gd")):
         if slot in seen:

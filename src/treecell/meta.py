@@ -101,26 +101,25 @@ class _Seq2Seq:
 
     def forward(self, prefix_log, record=False):
         batch = prefix_log.shape[0]
-        states = self.encoder.zero_states(batch)
-        enc_caches = [] if record else None
-        for t in range(PREFIX_LEN):
-            _, states, cache = self.encoder.step(
-                self.params, prefix_log[:, t:t + 1], states, record=record)
-            if record:
-                enc_caches.append(cache)
+        # the encoder reads the prefix as one sequence, (PREFIX_LEN, batch, 1)
+        _, states, enc_cache = self.encoder.forward(
+            self.params, prefix_log.T[:, :, None], self.encoder.zero_states(batch),
+            record=record)
         dec_caches = [] if record else None
         inp = prefix_log[:, -1:]
         outs = np.empty((batch, self.decoder_len), dtype=self.dtype)
         for j in range(self.decoder_len):
-            h_top, states, cache = self.decoder.step(self.params, inp, states,
+            # each decoder step reads the previous output: a 1-step sequence
+            hs, states, cache = self.decoder.forward(self.params, inp[None], states,
                                                      record=record)
+            h_top = hs[0]
             out = h_top @ self.params["head.W"] + self.params["head.b"]
             outs[:, j] = out[:, 0]
             if record:
                 dec_caches.append({"stack": cache, "h_top": h_top})
             inp = out
         if record:
-            return outs, {"enc": enc_caches, "dec": dec_caches}
+            return outs, {"enc": enc_cache, "dec": dec_caches}
         return outs
 
     def backward(self, cache, douts):
@@ -143,13 +142,13 @@ class _Seq2Seq:
             grads["head.b"] += dout.sum(axis=0)
             dh_top = dout @ self.params["head.W"].T
             # the previous step produced this step's input
-            dout_next = self.decoder.backward_step(self.params, grads, step["stack"],
-                                                   dh_top, carry)
-        # the decoder's initial state is the encoder's final state
+            dout_next = self.decoder.backward(self.params, grads, step["stack"],
+                                              dh_top[None], carry)[0]
+        # the decoder's initial state is the encoder's final state; the
+        # encoder's outputs feed nothing else
         zero_top = np.zeros((batch, self.config.width), self.dtype)
-        for t in range(PREFIX_LEN - 1, -1, -1):
-            self.encoder.backward_step(self.params, grads, cache["enc"][t],
-                                       zero_top, carry)
+        self.encoder.backward(self.params, grads, cache["enc"],
+                              np.broadcast_to(zero_top, (PREFIX_LEN, *zero_top.shape)), carry)
         return grads
 
 

@@ -6,7 +6,8 @@ Trainable parameters are the embedding, eight per-layer input projections
 combining the layer input with the previous-step h, and the output head;
 edges inside the cells carry no parameters, so the cell's memory-cell
 count never changes the parameter count.  :class:`RecurrentLayers` is the
-one layer engine; the curve predictor in ``meta`` builds on it too.
+one layer engine, run over a whole sequence layer by layer; the curve
+predictor in ``meta`` builds on it too.
 """
 
 from __future__ import annotations
@@ -62,13 +63,37 @@ def init_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndar
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
+def _batch_sums(stack: np.ndarray) -> np.ndarray:
+    """Sums over the batch axis of an (L, B, N) stack, per step.
+
+    Each row is rounded as ``stack[t].sum(axis=0)`` rounds it: numpy adds a
+    (B, N) block row by row, but sums a (B, 1) column pairwise.
+    """
+    if stack.shape[2] == 1:
+        return np.ascontiguousarray(stack[:, :, 0]).sum(axis=1)[:, None]
+    return stack.sum(axis=1)
+
+
+def _add_descending(acc: np.ndarray, stack: np.ndarray) -> None:
+    """acc += stack[L-1] + ... + stack[0], one step at a time, latest first,
+    the order in which backpropagation through time meets the steps."""
+    for t in range(len(stack) - 1, -1, -1):
+        acc += stack[t]
+
+
 class RecurrentLayers:
-    """A stack of recurrent layers, stepped one time step at a time.
+    """A stack of recurrent layers, run over a sequence one layer at a time.
 
     Each layer projects its input and the previous-step h to the eight
     base inputs of every unit, then runs compiled cells over column slots.
     ``slots`` holds, per layer, (compiled cell, cardinality) pairs; the
     parameters ``{prefix}layer{i}.W|U|b`` are created in ``params``.
+
+    A layer multiplies its whole input sequence by W in one stacked matmul,
+    so the time loop keeps only the recurrent work: h_prev @ U, the bias and
+    the cell.  The stacked (3-D) matmul runs the same BLAS product on each
+    step's (B, K) slice as a per-step loop would, so results are bit for bit
+    those of a step-major engine; a flattened (L * B, K) product is not.
     """
 
     def __init__(self, slots, in_dim: int, rng: np.random.Generator, params: dict,
@@ -95,91 +120,121 @@ class RecurrentLayers:
     def zero_states(self, batch: int) -> list[CellState]:
         return [zero_state((batch, w), self.dtype) for w in self.widths]
 
-    def step(self, params, xin, states, masks=None, record: bool = False):
-        """One time step up the stack; returns (top h, new states, caches).
+    def forward(self, params, xs, states, masks=None, record: bool = False):
+        """Run the stack over ``xs`` (L, B, in_dim); returns (top h (L, B, W),
+        final states, cache).
 
-        ``masks`` holds the ``ff``/``rec`` dropout masks or None.  The
-        per-layer caches (None unless ``record``) feed :meth:`backward_step`.
+        ``masks`` holds the ``ff``/``rec`` dropout masks or None.  The cache
+        (None unless ``record``) feeds :meth:`backward`.  States are not
+        modified in place.
         """
         new_states = []
         caches = [] if record else None
         for li, slots in enumerate(self.cells):
             w_name, u_name, b_name = self.names[li]
-            state = states[li]
-            h_prev = state.h
+            u, b = params[u_name], params[b_name]
+            rec = None
             if masks is not None:
-                xin = xin * masks["ff"][li]
-                h_prev = h_prev * masks["rec"][li]
-            pre = xin @ params[w_name] + h_prev @ params[u_name] + params[b_name]
-            batch, width = pre.shape[0], self.widths[li]
-            base = pre.reshape(batch, N_BASE_INPUTS, width).transpose(1, 0, 2)
-            tapes = []
-            if len(slots) == 1:
-                out = cell_forward(slots[0][0], base, state, record=record)
+                xs = xs * masks["ff"][li]
+                rec = masks["rec"][li]
+            xproj = xs @ params[w_name]
+            state = states[li]
+            hs, h_prevs, tapes = [], [], []
+            for pre in xproj:
+                h_prev = state.h if rec is None else state.h * rec
+                pre += h_prev @ u
+                pre += b
+                base = pre.reshape(pre.shape[0], N_BASE_INPUTS, -1).transpose(1, 0, 2)
+                state, tape = self._cells_forward(slots, base, state, record)
+                hs.append(state.h)
                 if record:
-                    out, tape = out
+                    h_prevs.append(h_prev)
                     tapes.append(tape)
-            else:
-                out = CellState(np.empty((batch, width), dtype=self.dtype),
-                                np.empty((batch, width), dtype=self.dtype),
-                                np.empty((batch, width), dtype=self.dtype))
-                for cell, lo, hi in slots:
-                    sub = cell_forward(cell, base[:, :, lo:hi],
-                                       CellState(state.h[:, lo:hi], state.c[:, lo:hi],
-                                                 state.d[:, lo:hi]), record=record)
-                    if record:
-                        sub, tape = sub
-                        tapes.append(tape)
-                    out.h[:, lo:hi] = sub.h
-                    out.c[:, lo:hi] = sub.c
-                    out.d[:, lo:hi] = sub.d
             if record:
-                caches.append({"xin": xin, "h_prev": h_prev, "tapes": tapes})
-            new_states.append(out)
-            xin = out.h
-        return xin, new_states, caches
+                caches.append({"xs": xs, "h_prev": h_prevs, "tapes": tapes})
+            new_states.append(state)
+            # a view for a 1-step sequence: the predictor's decoder records
+            # one per step, and a copy there raises its peak memory
+            xs = hs[0][None] if len(hs) == 1 else np.stack(hs)
+        return xs, new_states, caches
 
-    def backward_step(self, params, grads, caches, dh_top, carry, masks=None):
-        """One reverse time step down the stack; returns the input adjoint.
+    def _cells_forward(self, slots, base, state, record):
+        """One step of a layer's cells; returns (new state, tape), where the
+        tape (None unless ``record``) is the cell's, or a list of one per slot."""
+        if len(slots) == 1:
+            out = cell_forward(slots[0][0], base, state, record=record)
+            return out if record else (out, None)
+        batch, width = state.h.shape
+        out = CellState(np.empty((batch, width), dtype=self.dtype),
+                        np.empty((batch, width), dtype=self.dtype),
+                        np.empty((batch, width), dtype=self.dtype))
+        tapes = [] if record else None
+        for cell, lo, hi in slots:
+            sub = cell_forward(cell, base[:, :, lo:hi],
+                               CellState(state.h[:, lo:hi], state.c[:, lo:hi],
+                                         state.d[:, lo:hi]), record=record)
+            if record:
+                sub, tape = sub
+                tapes.append(tape)
+            out.h[:, lo:hi] = sub.h
+            out.c[:, lo:hi] = sub.c
+            out.d[:, lo:hi] = sub.d
+        return out, tapes
 
+    def backward(self, params, grads, cache, dh_top, carry, masks=None):
+        """Reverse of :meth:`forward`; returns the adjoint of ``xs``.
+
+        ``dh_top`` (L, B, W) is the adjoint of the top layer's h at each step.
         Adds parameter adjoints into ``grads`` and replaces ``carry[li]``,
-        the adjoints of layer ``li``'s previous-step h, c and d.
+        the adjoints of layer ``li``'s carried-in h, c and d.
         """
         dh_above = dh_top
         for li in range(len(self.cells) - 1, -1, -1):
             slots = self.cells[li]
-            cache = caches[li]
+            layer = cache[li]
             w_name, u_name, b_name = self.names[li]
-            dh = dh_above + carry[li].h
-            batch, width = dh.shape[0], self.widths[li]
-            if len(slots) == 1:
-                cg = cell_backward(slots[0][0], cache["tapes"][0], dh,
-                                   carry[li].c, carry[li].d)
-                dbase, dc_prev, dd_prev = cg.base, cg.c_prev, cg.d_prev
-            else:
-                # stored as (batch, 8, width), like a cell's own base adjoint,
-                # so dpre below is a view
-                dbase = np.empty((batch, N_BASE_INPUTS, width),
-                                 dtype=self.dtype).transpose(1, 0, 2)
-                dc_prev = np.empty((batch, width), dtype=self.dtype)
-                dd_prev = np.empty_like(dc_prev)
-                for (cell, lo, hi), tape in zip(slots, cache["tapes"]):
-                    cg = cell_backward(cell, tape, dh[:, lo:hi], carry[li].c[:, lo:hi],
-                                       carry[li].d[:, lo:hi])
-                    dbase[:, :, lo:hi] = cg.base
-                    dc_prev[:, lo:hi] = cg.c_prev
-                    dd_prev[:, lo:hi] = cg.d_prev
-            dpre = dbase.transpose(1, 0, 2).reshape(batch, N_BASE_INPUTS * width)
-            grads[w_name] += cache["xin"].T @ dpre
-            grads[u_name] += cache["h_prev"].T @ dpre
-            grads[b_name] += dpre.sum(axis=0)
-            dh_above = dpre @ params[w_name].T
-            dh_prev = dpre @ params[u_name].T
+            grad_w, grad_u = grads[w_name], grads[u_name]
+            u_t = params[u_name].T
+            rec = masks["rec"][li] if masks is not None else None
+            xs, h_prevs, tapes = layer["xs"], layer["h_prev"], layer["tapes"]
+            state = carry[li]
+            # the cells write each step's base adjoint (8, B, W) into a
+            # (L, B, 8, W) buffer, so every dpre and the (L, B, 8W) stack are views
+            length, batch, width = len(tapes), state.h.shape[0], self.widths[li]
+            dbases = np.empty((length, batch, N_BASE_INPUTS, width), dtype=self.dtype)
+            dpres = dbases.reshape(length, batch, N_BASE_INPUTS * width)
+            douts = dbases.transpose(0, 2, 1, 3)
+            for t in range(length - 1, -1, -1):
+                dh = dh_above[t] + state.h
+                dc_prev, dd_prev = self._cells_backward(slots, tapes[t], dh, state, douts[t])
+                dpre = dpres[t]
+                grad_w += xs[t].T @ dpre
+                grad_u += h_prevs[t].T @ dpre
+                dh_prev = dpre @ u_t
+                if rec is not None:
+                    dh_prev = dh_prev * rec
+                state = CellState(dh_prev, dc_prev, dd_prev)
+            carry[li] = state
+            _add_descending(grads[b_name], _batch_sums(dpres))
+            dh_above = dpres @ params[w_name].T
             if masks is not None:
                 dh_above = dh_above * masks["ff"][li]
-                dh_prev = dh_prev * masks["rec"][li]
-            carry[li] = CellState(dh_prev, dc_prev, dd_prev)
         return dh_above
+
+    def _cells_backward(self, slots, tape, dh, carry, dbase):
+        """One reverse step of a layer's cells; writes the base adjoint into
+        ``dbase`` (8, B, W) and returns (dc_prev, dd_prev)."""
+        if len(slots) == 1:
+            cg = cell_backward(slots[0][0], tape, dh, carry.c, carry.d, out=dbase)
+            return cg.c_prev, cg.d_prev
+        dc_prev = np.empty_like(dh)
+        dd_prev = np.empty_like(dh)
+        for (cell, lo, hi), slot_tape in zip(slots, tape):
+            cg = cell_backward(cell, slot_tape, dh[:, lo:hi], carry.c[:, lo:hi],
+                               carry.d[:, lo:hi], out=dbase[:, :, lo:hi])
+            dc_prev[:, lo:hi] = cg.c_prev
+            dd_prev[:, lo:hi] = cg.d_prev
+        return dc_prev, dd_prev
 
 
 class Network:
@@ -224,20 +279,20 @@ class Network:
         """
         spec = self.spec
         batch, length = x.shape[0], x.shape[1]
-        logits = np.empty((batch, length, spec.out_dim), dtype=self.dtype)
-        cache = {"x": x, "steps": [], "masks": masks} if record else None
-        for t in range(length):
-            if spec.embedding_dim > 0:
-                xin = self.params["embedding"][x[:, t]]
-            else:
-                xin = x[:, t].astype(self.dtype)
-            top, states, layer_caches = self.layers.step(self.params, xin, states,
+        if spec.embedding_dim > 0:
+            xs = self.params["embedding"][x.T]
+        else:
+            xs = x.transpose(1, 0, 2).astype(self.dtype, order="C")
+        tops, states, layer_caches = self.layers.forward(self.params, xs, states,
                                                          masks, record)
-            if masks is not None:
-                top = top * masks["out"]
-            logits[:, t] = top @ self.params["head.W"] + self.params["head.b"]
-            if record:
-                cache["steps"].append({"layers": layer_caches, "top": top})
+        if masks is not None:
+            tops = tops * masks["out"]
+        logits = np.empty((batch, length, spec.out_dim), dtype=self.dtype)
+        np.add(tops @ self.params["head.W"], self.params["head.b"],
+               out=logits.transpose(1, 0, 2))
+        cache = None
+        if record:
+            cache = {"x": x, "masks": masks, "layers": layer_caches, "tops": tops}
         return logits, states, cache
 
     def backward_chunk(self, cache, dlogits) -> dict[str, np.ndarray]:
@@ -249,19 +304,18 @@ class Network:
         x = cache["x"]
         masks = cache["masks"]
         grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        carry = self.zero_states(x.shape[0])
-        for t in range(x.shape[1] - 1, -1, -1):
-            step = cache["steps"][t]
-            dl = dlogits[:, t]
-            grads["head.W"] += step["top"].T @ dl
-            grads["head.b"] += dl.sum(axis=0)
-            dtop = dl @ self.params["head.W"].T
-            if masks is not None:
-                dtop = dtop * masks["out"]
-            dx = self.layers.backward_step(self.params, grads, step["layers"], dtop,
-                                           carry, masks)
-            if self.spec.embedding_dim > 0:
-                np.add.at(grads["embedding"], x[:, t], dx)
+        dls = dlogits.transpose(1, 0, 2)
+        _add_descending(grads["head.W"], cache["tops"].transpose(0, 2, 1) @ dls)
+        _add_descending(grads["head.b"], _batch_sums(dls))
+        dtops = dls @ self.params["head.W"].T
+        if masks is not None:
+            dtops = dtops * masks["out"]
+        dxs = self.layers.backward(self.params, grads, cache["layers"], dtops,
+                                   self.zero_states(x.shape[0]), masks)
+        if self.spec.embedding_dim > 0:
+            # one scatter, adding in backpropagation order: t descending, then b
+            np.add.at(grads["embedding"], x.T[::-1].ravel(),
+                      dxs[::-1].reshape(-1, dxs.shape[2]))
         return grads
 
 

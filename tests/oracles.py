@@ -2,9 +2,11 @@
 
 These deliberately avoid the package's own forward/backward code paths:
 the gated-cell oracle is the textbook closed form, gradients come from
-central finite differences, and ``interpret_forward``/``interpret_backward``
+central finite differences, ``interpret_forward``/``interpret_backward``
 run a compiled cell op by op, dispatching on the op name, as the reference
-for the generated straight-line kernels.
+for the generated straight-line kernels, and the ``step_major_*`` functions
+run networks and predictor members one time step at a time up the layer
+stack, as the reference for the layer-major sequence engine.
 """
 
 import numpy as np
@@ -23,6 +25,8 @@ from treecell.compiler import (
     cell_forward,
     compile_tree,
 )
+from treecell.meta import PREFIX_LEN
+from treecell.tree import N_BASE_INPUTS
 
 
 def rng_for(seed):
@@ -223,3 +227,205 @@ def interpret_backward(cell: CompiledCell, tape, grad_h, grad_c, grad_d) -> Cell
     if not cell.d_slots:
         d_prev = d_prev + grad_d
     return CellGrads(base, c_prev, d_prev)
+
+
+# --- the step-major recurrent engine --------------------------------------------
+#
+# The engine as it was before it ran a chunk layer by layer: one time step
+# at a time up the stack, with every projection, bias sum and head product
+# made per step.  ``self`` is the RecurrentLayers, Network or _Seq2Seq the
+# function stands in a method of.
+
+
+def step_major_step(self, params, xin, states, masks=None, record: bool = False):
+    """One time step up the stack; returns (top h, new states, caches).
+
+    ``masks`` holds the ``ff``/``rec`` dropout masks or None.  The
+    per-layer caches (None unless ``record``) feed :func:`step_major_backward_step`.
+    """
+    new_states = []
+    caches = [] if record else None
+    for li, slots in enumerate(self.cells):
+        w_name, u_name, b_name = self.names[li]
+        state = states[li]
+        h_prev = state.h
+        if masks is not None:
+            xin = xin * masks["ff"][li]
+            h_prev = h_prev * masks["rec"][li]
+        pre = xin @ params[w_name] + h_prev @ params[u_name] + params[b_name]
+        batch, width = pre.shape[0], self.widths[li]
+        base = pre.reshape(batch, N_BASE_INPUTS, width).transpose(1, 0, 2)
+        tapes = []
+        if len(slots) == 1:
+            out = cell_forward(slots[0][0], base, state, record=record)
+            if record:
+                out, tape = out
+                tapes.append(tape)
+        else:
+            out = CellState(np.empty((batch, width), dtype=self.dtype),
+                            np.empty((batch, width), dtype=self.dtype),
+                            np.empty((batch, width), dtype=self.dtype))
+            for cell, lo, hi in slots:
+                sub = cell_forward(cell, base[:, :, lo:hi],
+                                   CellState(state.h[:, lo:hi], state.c[:, lo:hi],
+                                             state.d[:, lo:hi]), record=record)
+                if record:
+                    sub, tape = sub
+                    tapes.append(tape)
+                out.h[:, lo:hi] = sub.h
+                out.c[:, lo:hi] = sub.c
+                out.d[:, lo:hi] = sub.d
+        if record:
+            caches.append({"xin": xin, "h_prev": h_prev, "tapes": tapes})
+        new_states.append(out)
+        xin = out.h
+    return xin, new_states, caches
+
+
+def step_major_backward_step(self, params, grads, caches, dh_top, carry, masks=None):
+    """One reverse time step down the stack; returns the input adjoint.
+
+    Adds parameter adjoints into ``grads`` and replaces ``carry[li]``,
+    the adjoints of layer ``li``'s previous-step h, c and d.
+    """
+    dh_above = dh_top
+    for li in range(len(self.cells) - 1, -1, -1):
+        slots = self.cells[li]
+        cache = caches[li]
+        w_name, u_name, b_name = self.names[li]
+        dh = dh_above + carry[li].h
+        batch, width = dh.shape[0], self.widths[li]
+        if len(slots) == 1:
+            cg = cell_backward(slots[0][0], cache["tapes"][0], dh,
+                               carry[li].c, carry[li].d)
+            dbase, dc_prev, dd_prev = cg.base, cg.c_prev, cg.d_prev
+        else:
+            # stored as (batch, 8, width), like a cell's own base adjoint,
+            # so dpre below is a view
+            dbase = np.empty((batch, N_BASE_INPUTS, width),
+                             dtype=self.dtype).transpose(1, 0, 2)
+            dc_prev = np.empty((batch, width), dtype=self.dtype)
+            dd_prev = np.empty_like(dc_prev)
+            for (cell, lo, hi), tape in zip(slots, cache["tapes"]):
+                cg = cell_backward(cell, tape, dh[:, lo:hi], carry[li].c[:, lo:hi],
+                                   carry[li].d[:, lo:hi])
+                dbase[:, :, lo:hi] = cg.base
+                dc_prev[:, lo:hi] = cg.c_prev
+                dd_prev[:, lo:hi] = cg.d_prev
+        dpre = dbase.transpose(1, 0, 2).reshape(batch, N_BASE_INPUTS * width)
+        grads[w_name] += cache["xin"].T @ dpre
+        grads[u_name] += cache["h_prev"].T @ dpre
+        grads[b_name] += dpre.sum(axis=0)
+        dh_above = dpre @ params[w_name].T
+        dh_prev = dpre @ params[u_name].T
+        if masks is not None:
+            dh_above = dh_above * masks["ff"][li]
+            dh_prev = dh_prev * masks["rec"][li]
+        carry[li] = CellState(dh_prev, dc_prev, dd_prev)
+    return dh_above
+
+
+def step_major_forward_chunk(self, x, states, masks=None, record: bool = False):
+    """Run ``L`` steps; returns (logits, final states, cache).
+
+    x: (B, L) int tokens or (B, L, D) frames.  ``masks`` holds the
+    per-chunk dropout masks or None for evaluation.  States are the
+    carried-in CellStates per layer and are not modified in place.
+    """
+    spec = self.spec
+    batch, length = x.shape[0], x.shape[1]
+    logits = np.empty((batch, length, spec.out_dim), dtype=self.dtype)
+    cache = {"x": x, "steps": [], "masks": masks} if record else None
+    for t in range(length):
+        if spec.embedding_dim > 0:
+            xin = self.params["embedding"][x[:, t]]
+        else:
+            xin = x[:, t].astype(self.dtype)
+        top, states, layer_caches = step_major_step(self.layers, self.params, xin, states,
+                                                    masks, record)
+        if masks is not None:
+            top = top * masks["out"]
+        logits[:, t] = top @ self.params["head.W"] + self.params["head.b"]
+        if record:
+            cache["steps"].append({"layers": layer_caches, "top": top})
+    return logits, states, cache
+
+
+def step_major_backward_chunk(self, cache, dlogits) -> dict:
+    """Adjoints of every parameter for one recorded chunk.
+
+    Gradients truncate at the chunk boundary: adjoints of the carried-in
+    state are dropped, matching truncated backpropagation through time.
+    """
+    x = cache["x"]
+    masks = cache["masks"]
+    grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+    carry = self.zero_states(x.shape[0])
+    for t in range(x.shape[1] - 1, -1, -1):
+        step = cache["steps"][t]
+        dl = dlogits[:, t]
+        grads["head.W"] += step["top"].T @ dl
+        grads["head.b"] += dl.sum(axis=0)
+        dtop = dl @ self.params["head.W"].T
+        if masks is not None:
+            dtop = dtop * masks["out"]
+        dx = step_major_backward_step(self.layers, self.params, grads, step["layers"],
+                                      dtop, carry, masks)
+        if self.spec.embedding_dim > 0:
+            np.add.at(grads["embedding"], x[:, t], dx)
+    return grads
+
+
+def step_major_seq2seq_forward(self, prefix_log, record=False):
+    batch = prefix_log.shape[0]
+    states = self.encoder.zero_states(batch)
+    enc_caches = [] if record else None
+    for t in range(PREFIX_LEN):
+        _, states, cache = step_major_step(
+            self.encoder, self.params, prefix_log[:, t:t + 1], states, record=record)
+        if record:
+            enc_caches.append(cache)
+    dec_caches = [] if record else None
+    inp = prefix_log[:, -1:]
+    outs = np.empty((batch, self.decoder_len), dtype=self.dtype)
+    for j in range(self.decoder_len):
+        h_top, states, cache = step_major_step(self.decoder, self.params, inp, states,
+                                               record=record)
+        out = h_top @ self.params["head.W"] + self.params["head.b"]
+        outs[:, j] = out[:, 0]
+        if record:
+            dec_caches.append({"stack": cache, "h_top": h_top})
+        inp = out
+    if record:
+        return outs, {"enc": enc_caches, "dec": dec_caches}
+    return outs
+
+
+def step_major_seq2seq_backward(self, cache, douts):
+    """Adjoints of all parameters for a recorded forward.
+
+    ``douts`` holds the loss adjoint of every decoder output, shape
+    (batch, decoder_len); unsupervised steps pass zero columns and
+    still receive gradient through the autoregressive feedback path.
+    """
+    grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+    batch = douts.shape[0]
+    carry = self.decoder.zero_states(batch)
+    dout_next = None  # adjoint fed back from the following step's input
+    for j in range(self.decoder_len - 1, -1, -1):
+        step = cache["dec"][j]
+        dout = douts[:, j:j + 1].copy()
+        if dout_next is not None:
+            dout += dout_next
+        grads["head.W"] += step["h_top"].T @ dout
+        grads["head.b"] += dout.sum(axis=0)
+        dh_top = dout @ self.params["head.W"].T
+        # the previous step produced this step's input
+        dout_next = step_major_backward_step(self.decoder, self.params, grads,
+                                             step["stack"], dh_top, carry)
+    # the decoder's initial state is the encoder's final state
+    zero_top = np.zeros((batch, self.config.width), self.dtype)
+    for t in range(PREFIX_LEN - 1, -1, -1):
+        step_major_backward_step(self.encoder, self.params, grads, cache["enc"][t],
+                                 zero_top, carry)
+    return grads

@@ -190,6 +190,28 @@ def test_seq2seq_backward_matches_finite_differences():
     assert worst < 1e-5
 
 
+def test_seq2seq_matches_step_major_bit_for_bit():
+    """The encoder run as one sequence and the decoder as 1-step sequences
+    give the step-major engine's outputs and gradients, bit for bit."""
+    from treecell.meta import _Seq2Seq
+
+    from oracles import step_major_seq2seq_backward, step_major_seq2seq_forward
+
+    member = _Seq2Seq(6, MetaConfig(width=8, layers=2), rng_for(13))
+    rng = rng_for(14)
+    x = np.log(rng.uniform(1.0, 10.0, size=(13, 10)))
+    douts = rng.normal(size=(13, 6))
+    douts[:, 2] = 0.0
+    outs, cache = member.forward(x, record=True)
+    ref_outs, ref_cache = step_major_seq2seq_forward(member, x, record=True)
+    assert np.array_equal(outs.view(np.int64), ref_outs.view(np.int64))
+    grads = member.backward(cache, douts)
+    ref_grads = step_major_seq2seq_backward(member, ref_cache, douts)
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert np.array_equal(grads[name].view(np.int64), ref_grads[name].view(np.int64)), name
+
+
 def test_untrained_and_bad_prefix_raise(constant_model):
     from treecell.meta import CurvePredictor
 

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treecell.compiler import lstm_reference_tree
+from treecell.compiler import CellState, lstm_reference_tree
 from treecell.data import delayed_copy_task, make_streams
 from treecell.genetic import random_genome
 from treecell.network import (
@@ -17,17 +19,27 @@ from treecell.training import (
     TrainConfig,
     TrainingDiverged,
     clip_gradients,
+    draw_masks,
     eval_perplexity,
     global_norm,
     micro_f1,
+    sigmoid_bce,
     softmax_ce,
     train,
 )
-from treecell.tree import build_tree, validate
+from treecell.tree import build_tree, seed_tree, validate
+
+from oracles import step_major_backward_chunk, step_major_forward_chunk
 
 
 def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+# taps both c and d, so a slot's c and d adjoints both carry through time
+BOTH_TAPS = build_tree(("mul", ("sigmoid", "x3"),
+                        ("tanh", ("add@c", ("mul", ("sigmoid", "x1"), "cprev"),
+                                  ("mul@d", ("sigmoid", "x0"), ("tanh", "dprev"))))))
 
 
 def lstm_param_formula(in_dim, hidden):
@@ -61,12 +73,9 @@ def test_heterogeneous_layer_slots():
 def test_param_count_invariant_in_memory_cells():
     # same dims, one tree uses only c, the other taps both c and d
     only_c = lstm_reference_tree()
-    both = build_tree(("mul", ("sigmoid", "x3"),
-                       ("tanh", ("add@c", ("mul", ("sigmoid", "x1"), "cprev"),
-                                 ("mul@d", ("sigmoid", "x0"), ("tanh", "dprev"))))))
     spec = homogeneous_spec(24, 1, 8, vocab_size=11)
     net_a = build_network(spec, [only_c], rng_for(2))
-    net_b = build_network(spec, [both], rng_for(2))
+    net_b = build_network(spec, [BOTH_TAPS], rng_for(2))
     assert net_a.param_count() == net_b.param_count()
 
 
@@ -76,22 +85,38 @@ def test_slot_cardinality_mismatch_rejected():
         build_network(spec, [lstm_reference_tree()], rng_for(0))
 
 
-def test_network_gradients_match_finite_differences():
+@pytest.mark.parametrize("case", ["plain", "dropout", "hetero", "frames"])
+def test_network_gradients_match_finite_differences(case):
     vocab, emb, width = 5, 4, 6
-    spec = homogeneous_spec(width, 2, emb, vocab_size=vocab)
-    net = build_network(spec, [lstm_reference_tree()], rng_for(3))
+    trees = [lstm_reference_tree(), BOTH_TAPS]
+    if case == "hetero":  # two slots per layer, of different cells
+        spec = NetworkSpec([LayerSpec(width, [(0, 3), (1, 3)])] * 2, emb, vocab_size=vocab)
+    elif case == "frames":
+        spec = homogeneous_spec(width, 2, 0, io_dim=vocab, head="sigmoid")
+    else:
+        spec = homogeneous_spec(width, 2, emb, vocab_size=vocab)
+    net = build_network(spec, trees, rng_for(3))
     rng = rng_for(4)
-    x = rng.integers(0, vocab, size=(3, 7))
-    y = rng.integers(0, vocab, size=(3, 7))
+    if case == "frames":
+        x = rng.normal(size=(3, 7, vocab))
+        y = (rng.random((3, 7, vocab)) < 0.5).astype(np.float64)
+        loss_fn = sigmoid_bce
+    else:
+        x = rng.integers(0, vocab, size=(3, 7))
+        y = rng.integers(0, vocab, size=(3, 7))
+        loss_fn = softmax_ce
+    masks = None
+    if case == "dropout":  # one mask set, the same in every evaluation below
+        masks = draw_masks(net, 3, TrainConfig(dropout_ff=0.3, dropout_rec=0.3), rng_for(5))
     states = net.zero_states(3)
 
     def loss_value():
-        logits, _, _ = net.forward_chunk(x, states)
-        loss, _ = softmax_ce(logits, y)
+        logits, _, _ = net.forward_chunk(x, states, masks)
+        loss, _ = loss_fn(logits, y)
         return loss
 
-    logits, _, cache = net.forward_chunk(x, states, record=True)
-    _, dlogits = softmax_ce(logits, y)
+    logits, _, cache = net.forward_chunk(x, states, masks, record=True)
+    _, dlogits = loss_fn(logits, y)
     grads = net.backward_chunk(cache, dlogits)
     eps = 1e-6
     for name in net.params:
@@ -107,6 +132,71 @@ def test_network_gradients_match_finite_differences():
             fd = (up - down) / (2 * eps)
             denom = max(1.0, abs(fd), abs(gflat[idx]))
             assert abs(fd - gflat[idx]) / denom < 1e-5, (name, idx, fd, gflat[idx])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+ENGINE_TREES = st.one_of(
+    st.sampled_from([lstm_reference_tree(), seed_tree(), BOTH_TAPS]),
+    st.builds(lambda seed: random_genome(rng_for(seed), steps=8), st.integers(0, 10_000)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees=st.lists(ENGINE_TREES, min_size=2, max_size=2), n_layers=st.sampled_from([1, 2]),
+       hetero=st.booleans(), tokens=st.booleans(), dropout=st.booleans(),
+       length=st.sampled_from([1, 2, 7, 35]), batch=st.sampled_from([1, 3, 20]),
+       out_dim=st.sampled_from([1, 3, 8]), seed=st.integers(0, 2**32 - 1))
+def test_layer_major_engine_matches_step_major_bit_for_bit(trees, n_layers, hetero, tokens,
+                                                           dropout, length, batch, out_dim,
+                                                           seed):
+    """The sequence engine against the step-major engine it replaced: logits,
+    final states and every gradient, bit for bit, from carried-in states.
+    The desk shape (width 24, embedding 12, batch 20, 35 steps) is among the
+    draws; a flattened (L * B, K) product differs from the per-step ones there."""
+    if hetero:
+        layers = [LayerSpec(24, [(0, 10), (1, 14)])] * n_layers
+    else:
+        layers = [LayerSpec(24, [(0, 24)])] * n_layers
+    if tokens:
+        spec = NetworkSpec(layers, 12, vocab_size=out_dim)
+    else:
+        spec = NetworkSpec(layers, 0, io_dim=out_dim, head="sigmoid")
+    net = build_network(spec, trees, rng_for(seed))
+    rng = rng_for(seed + 1)
+    if tokens:
+        x = rng.integers(0, out_dim, size=(batch, length))
+        y = rng.integers(0, out_dim, size=(batch, length))
+    else:
+        x = (rng.random((batch, length, out_dim)) < 0.5).astype(np.float64)
+        y = (rng.random((batch, length, out_dim)) < 0.5).astype(np.float64)
+    masks = None
+    if dropout:
+        masks = draw_masks(net, batch, TrainConfig(dropout_ff=0.4, dropout_rec=0.3), rng)
+    states = [CellState(*(rng.normal(size=s.h.shape) for _ in range(3)))
+              for s in net.zero_states(batch)]
+    loss_fn = softmax_ce if tokens else sigmoid_bce
+    with np.errstate(all="ignore"):
+        try:
+            ref_logits, ref_final, ref_cache = step_major_forward_chunk(net, x, states, masks,
+                                                                        record=True)
+        except ValueError:  # a cell input overflowed; the guard must stop both
+            with pytest.raises(ValueError, match="non-finite cell input"):
+                net.forward_chunk(x, states, masks, record=True)
+            return
+        logits, final, cache = net.forward_chunk(x, states, masks, record=True)
+        _, dlogits = loss_fn(ref_logits, y)
+        grads = net.backward_chunk(cache, dlogits)
+        ref_grads = step_major_backward_chunk(net, ref_cache, dlogits)
+    assert np.array_equal(_bits(logits), _bits(ref_logits))
+    for li, (state, ref) in enumerate(zip(final, ref_final)):
+        for name in ("h", "c", "d"):
+            assert np.array_equal(_bits(getattr(state, name)), _bits(getattr(ref, name))), \
+                (li, name)
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert np.array_equal(_bits(grads[name]), _bits(ref_grads[name])), name
 
 
 def test_state_carryover_chunked_equals_single_pass():
