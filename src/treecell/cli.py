@@ -120,6 +120,15 @@ def _restore_checkpoint(path, config):
 
 def cmd_evolve(args) -> int:
     config = _load_experiment(args)
+    predictor = None
+    if config.evolution.fitness_mode == "meta_predicted":
+        if config.evolution.partial_epochs != meta.PREFIX_LEN:
+            return _fail(f"meta_predicted fitness needs partial_epochs = {meta.PREFIX_LEN}, "
+                         f"the predictor's prefix length; got "
+                         f"{config.evolution.partial_epochs}")
+        if not config.paths.meta_model:
+            return _fail("meta_predicted fitness requires paths.meta_model")
+        predictor = meta.load_model(config.paths.meta_model)
     try:
         ctx = EvalContext(config)
     except (OSError, ValueError) as exc:
@@ -127,11 +136,6 @@ def cmd_evolve(args) -> int:
     out_dir = Path(args.out or config.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "checkpoint.json"
-    predictor = None
-    if config.evolution.fitness_mode == "meta_predicted":
-        if not config.paths.meta_model:
-            return _fail("meta_predicted fitness requires paths.meta_model")
-        predictor = meta.load_model(config.paths.meta_model)
 
     start_state, lineage_bytes = None, 0
     if args.resume and checkpoint_path.exists():

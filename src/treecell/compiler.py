@@ -104,11 +104,6 @@ def compile_tree(tree: NodeTree) -> CompiledCell:
     return CompiledCell(tuple(ops), node_to_slot[tree.root], c_slots, d_slots)
 
 
-def _finite(x) -> bool:
-    # one ufunc reduction; cheaper per call than np.all on these small arrays
-    return np.logical_and.reduce(np.isfinite(x), axis=None)
-
-
 def cell_forward(cell: CompiledCell, base_inputs, state: CellState,
                  record: bool = False):
     """One step of the cell, elementwise per unit.
@@ -116,15 +111,15 @@ def cell_forward(cell: CompiledCell, base_inputs, state: CellState,
     ``base_inputs`` holds the eight tree inputs, shape (8, *unit_shape);
     returns the new CellState, plus the forward tape (the value of every
     slot, indexed by slot) when ``record``.  Untapped outputs pass the
-    previous memory value through unchanged.
+    previous memory value through unchanged.  Inputs are not checked for
+    inf or NaN here: :class:`network.RecurrentLayers` checks a whole
+    chunk's cell inputs once per layer.
     """
     base = np.asarray(base_inputs)
     if base.shape[0] != T.N_BASE_INPUTS:
         raise ValueError(f"expected {T.N_BASE_INPUTS} base inputs, got {base.shape[0]}")
     if base.shape[1:] != state.c.shape:
         raise ValueError(f"width mismatch: inputs {base.shape[1:]}, state {state.c.shape}")
-    if not (_finite(base) and _finite(state.c) and _finite(state.d)):
-        raise ValueError("non-finite cell input")
     h, c, d, tape = cell.forward(base, state.c, state.d)
     new_state = CellState(h, c, d)
     if record:

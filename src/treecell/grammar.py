@@ -135,9 +135,3 @@ def read_population(path) -> list[NodeTree]:
             except ParseError as exc:
                 raise ParseError(f"line {lineno}: {exc}", lineno, exc.column) from exc
     return genomes
-
-
-def write_population(path, genomes) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for g in genomes:
-            fh.write(serialize(g) + "\n")

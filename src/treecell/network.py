@@ -74,6 +74,36 @@ def _batch_sums(stack: np.ndarray) -> np.ndarray:
     return stack.sum(axis=1)
 
 
+def _scatter_rows(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """``np.add.at(zeros((n_rows, N)), rows, values)``, bit for bit.
+
+    For float64 it is one weighted ``bincount`` over flattened (row, column)
+    indices, which adds in the same order from the same +0.0; ``bincount``
+    sums in float64, so other dtypes keep ``add.at``.
+    """
+    width = values.shape[1]
+    if values.dtype != np.float64:
+        out = np.zeros((n_rows, width), dtype=values.dtype)
+        np.add.at(out, rows, values)
+        return out
+    flat = (rows[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=values.ravel(),
+                       minlength=n_rows * width).reshape(n_rows, width)
+
+
+def _check_finite(bases: np.ndarray, carried: list) -> None:
+    """Raise unless a layer's chunk of cell inputs is all finite.
+
+    ``bases`` holds every step's base inputs and ``carried`` the c and d
+    arrays the steps read.  Those are stacked into one array, except for a
+    1-step chunk, where that would only add a copy.
+    """
+    arrays = [bases, *carried] if len(carried) <= 2 else [bases, np.array(carried)]
+    # one ufunc reduction each; cheaper per call than np.all on small arrays
+    if not all(np.logical_and.reduce(np.isfinite(a), axis=None) for a in arrays):
+        raise ValueError("non-finite cell input")
+
+
 def _add_descending(acc: np.ndarray, stack: np.ndarray) -> None:
     """acc += stack[L-1] + ... + stack[0], one step at a time, latest first,
     the order in which backpropagation through time meets the steps."""
@@ -120,13 +150,18 @@ class RecurrentLayers:
     def zero_states(self, batch: int) -> list[CellState]:
         return [zero_state((batch, w), self.dtype) for w in self.widths]
 
+    # the cells may run on inf or NaN until the layer's finite check
+    @np.errstate(over="ignore", invalid="ignore")
     def forward(self, params, xs, states, masks=None, record: bool = False):
         """Run the stack over ``xs`` (L, B, in_dim); returns (top h (L, B, W),
         final states, cache).
 
         ``masks`` holds the ``ff``/``rec`` dropout masks or None.  The cache
         (None unless ``record``) feeds :meth:`backward`.  States are not
-        modified in place.
+        modified in place.  Raises ValueError("non-finite cell input") when
+        any cell input is inf or NaN: a step's base inputs, or the c or d it
+        reads.  Each layer is checked once, after its time loop, so the cells
+        run on such values, with floating-point warnings off, until then.
         """
         new_states = []
         caches = [] if record else None
@@ -139,7 +174,7 @@ class RecurrentLayers:
                 rec = masks["rec"][li]
             xproj = xs @ params[w_name]
             state = states[li]
-            hs, h_prevs, tapes = [], [], []
+            hs, cs, ds, h_prevs, tapes = [], [state.c], [state.d], [], []
             for pre in xproj:
                 h_prev = state.h if rec is None else state.h * rec
                 pre += h_prev @ u
@@ -147,15 +182,20 @@ class RecurrentLayers:
                 base = pre.reshape(pre.shape[0], N_BASE_INPUTS, -1).transpose(1, 0, 2)
                 state, tape = self._cells_forward(slots, base, state, record)
                 hs.append(state.h)
+                cs.append(state.c)
+                ds.append(state.d)
                 if record:
                     h_prevs.append(h_prev)
                     tapes.append(tape)
+            # xproj now holds every step's base; the last step's c and d
+            # are the next chunk's (or the caller's) to check
+            _check_finite(xproj, cs[:-1] + ds[:-1])
             if record:
                 caches.append({"xs": xs, "h_prev": h_prevs, "tapes": tapes})
             new_states.append(state)
             # a view for a 1-step sequence: the predictor's decoder records
             # one per step, and a copy there raises its peak memory
-            xs = hs[0][None] if len(hs) == 1 else np.stack(hs)
+            xs = hs[0][None] if len(hs) == 1 else np.array(hs)
         return xs, new_states, caches
 
     def _cells_forward(self, slots, base, state, record):
@@ -314,8 +354,9 @@ class Network:
                                    self.zero_states(x.shape[0]), masks)
         if self.spec.embedding_dim > 0:
             # one scatter, adding in backpropagation order: t descending, then b
-            np.add.at(grads["embedding"], x.T[::-1].ravel(),
-                      dxs[::-1].reshape(-1, dxs.shape[2]))
+            grads["embedding"] = _scatter_rows(x.T[::-1].ravel(),
+                                              dxs[::-1].reshape(-1, dxs.shape[2]),
+                                              self.spec.vocab_size)
         return grads
 
 

@@ -148,12 +148,6 @@ class SpeciationState:
             out[sp.state] += 1
         return out
 
-    def by_id(self, species_id: int) -> Species:
-        for sp in self.species:
-            if sp.id == species_id:
-                return sp
-        raise KeyError(f"no species {species_id}")
-
     def violates_archive(self, genome: NodeTree) -> bool:
         return in_archived_region(genome, self.archive,
                                   self.config.compatibility_threshold, self.params)

@@ -60,10 +60,14 @@ class TrainingDiverged(RuntimeError):
 
 def softmax_ce(logits: np.ndarray, targets: np.ndarray):
     """Mean next-token cross-entropy and its logit gradient."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    b, l, v = logits.shape
+    # each row's max as a leading-axis max over the (V, N) transposed copy,
+    # far cheaper than a last-axis max over short rows.  A max is exact in
+    # any order, and the sign of a zero max does not survive exp.
+    row_max = np.ascontiguousarray(logits.reshape(-1, v).T).max(axis=0)
+    shifted = logits - row_max.reshape(b, l, 1)
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=-1, keepdims=True)
-    b, l, v = logits.shape
     flat = probs.reshape(-1, v)
     idx = targets.reshape(-1)
     picked = flat[np.arange(flat.shape[0]), idx]
@@ -259,8 +263,9 @@ def train(network: Network, task: SequenceTask, config: TrainConfig,
             yc = y[:, start:start + config.unroll_steps]
             masks = draw_masks(network, config.batch_size, config, rng)
             try:
-                # unstable candidates may overflow; the finite-input guard
-                # and the loss check turn that into a divergence signal
+                # unstable candidates may overflow; the per-layer check on
+                # the cell inputs and the loss check turn that into a
+                # divergence signal
                 with np.errstate(over="ignore", invalid="ignore"):
                     logits, states, cache = network.forward_chunk(
                         xc, states, masks=masks, record=True)

@@ -233,8 +233,15 @@ def interpret_backward(cell: CompiledCell, tape, grad_h, grad_c, grad_d) -> Cell
 #
 # The engine as it was before it ran a chunk layer by layer: one time step
 # at a time up the stack, with every projection, bias sum and head product
-# made per step.  ``self`` is the RecurrentLayers, Network or _Seq2Seq the
-# function stands in a method of.
+# made per step, and every cell input checked for inf and NaN before the
+# step that reads it.  ``self`` is the RecurrentLayers, Network or _Seq2Seq
+# the function stands in a method of.
+
+
+def _guard(base, state):
+    if not (np.all(np.isfinite(base)) and np.all(np.isfinite(state.c))
+            and np.all(np.isfinite(state.d))):
+        raise ValueError("non-finite cell input")
 
 
 def step_major_step(self, params, xin, states, masks=None, record: bool = False):
@@ -257,6 +264,7 @@ def step_major_step(self, params, xin, states, masks=None, record: bool = False)
         base = pre.reshape(batch, N_BASE_INPUTS, width).transpose(1, 0, 2)
         tapes = []
         if len(slots) == 1:
+            _guard(base, state)
             out = cell_forward(slots[0][0], base, state, record=record)
             if record:
                 out, tape = out
@@ -266,9 +274,10 @@ def step_major_step(self, params, xin, states, masks=None, record: bool = False)
                             np.empty((batch, width), dtype=self.dtype),
                             np.empty((batch, width), dtype=self.dtype))
             for cell, lo, hi in slots:
-                sub = cell_forward(cell, base[:, :, lo:hi],
-                                   CellState(state.h[:, lo:hi], state.c[:, lo:hi],
-                                             state.d[:, lo:hi]), record=record)
+                sub_state = CellState(state.h[:, lo:hi], state.c[:, lo:hi],
+                                      state.d[:, lo:hi])
+                _guard(base[:, :, lo:hi], sub_state)
+                sub = cell_forward(cell, base[:, :, lo:hi], sub_state, record=record)
                 if record:
                     sub, tape = sub
                     tapes.append(tape)

@@ -32,7 +32,7 @@ from treecell.genetic import (
     random_genome,
     tree_distance,
 )
-from treecell.grammar import parse, serialize, write_population
+from treecell.grammar import parse, serialize
 from treecell.meta import (
     MetaConfig,
     baseline_epoch10,
@@ -279,7 +279,7 @@ def test_criterion_09_heterogeneous_construction(tmp_path):
     # a 20-network desk sweep through the command-line surface
     pool = tmp_path / "pool"
     pool.mkdir()
-    write_population(pool / "pool.txt", trees)
+    (pool / "pool.txt").write_text("".join(serialize(t) + "\n" for t in trees))
     cfg = ExperimentConfig(seed=2)
     cfg.task.train_tokens = 4000
     cfg.task.valid_tokens = 1000

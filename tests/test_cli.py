@@ -7,7 +7,7 @@ import pytest
 from treecell import cli
 from treecell.cli import main
 from treecell.config import ExperimentConfig, save_config
-from treecell.grammar import parse, serialize, write_population
+from treecell.grammar import parse, serialize
 from treecell.genetic import random_genome
 from treecell.meta import load_model, save_samples_csv, synthetic_curves
 
@@ -144,6 +144,19 @@ def test_evolve_outputs_and_checkpoint(tmp_path, capsys):
     assert leftovers == []  # atomic writes leave no temp files
 
 
+def test_evolve_refuses_meta_mode_with_other_prefix_length(tmp_path, capsys):
+    """The predictor reads exactly meta.PREFIX_LEN epochs per curve, so a
+    meta_predicted run with any other partial_epochs stops before training."""
+    cfg = tiny_config(tmp_path, **{"evolution.fitness_mode": "meta_predicted",
+                                   "evolution.partial_epochs": 3,
+                                   "paths.meta_model": str(tmp_path / "absent.npz")})
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "partial_epochs = 10" in err and "got 3" in err
+    assert not out.exists()
+
+
 def test_evolve_missing_data_is_clean_error(tmp_path, capsys):
     cfg = tiny_config(tmp_path, **{"task.name": "char_lm",
                                    "task.data_path": str(tmp_path / "missing.txt")})
@@ -231,8 +244,8 @@ def test_meta_cli_insufficient_samples(tmp_path, capsys):
 def test_hetero_pool_of_one_and_count_zero(tmp_path, capsys):
     pool = tmp_path / "pool"
     pool.mkdir()
-    write_population(pool / "only.txt", [random_genome(
-        np.random.Generator(np.random.PCG64(1)), steps=3)])
+    (pool / "only.txt").write_text(serialize(random_genome(
+        np.random.Generator(np.random.PCG64(1)), steps=3)) + "\n")
     cfg = tiny_config(tmp_path, **{"network.width": 40})
     out = tmp_path / "hetero.csv"
     assert main(["hetero", str(pool), "--config", str(cfg), "--count", "2",

@@ -20,7 +20,7 @@ from treecell.config import ExperimentConfig, save_config
 from treecell.genetic import (crossover_homologous, mutate_insert, mutate_pipeline,
                               mutate_replace, mutate_shrink, random_genome,
                               shared_region, tree_distance)
-from treecell.grammar import serialize, write_population
+from treecell.grammar import serialize
 from treecell.meta import MetaConfig, synthetic_curves, train_meta
 from treecell.tree import canonical_text, canonicalize
 
@@ -86,9 +86,9 @@ def test_train_meta_digests():
 def test_hetero_csv_digest(tmp_path):
     pool = tmp_path / "pool"
     pool.mkdir()
-    write_population(pool / "pool.txt", [
-        random_genome(np.random.Generator(np.random.PCG64(s)), steps=6)
-        for s in (4, 5, 6)])
+    (pool / "pool.txt").write_text("".join(
+        serialize(random_genome(np.random.Generator(np.random.PCG64(s)), steps=6)) + "\n"
+        for s in (4, 5, 6)))
     cfg = ExperimentConfig(seed=9)
     cfg.precision = 64
     cfg.task.train_tokens = 1500

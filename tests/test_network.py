@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecell.compiler import CellState, lstm_reference_tree
+from treecell.compiler import CellState, compile_tree, lstm_reference_tree
 from treecell.data import delayed_copy_task, make_streams
 from treecell.genetic import random_genome
 from treecell.network import (
     LayerSpec,
     NetworkSpec,
+    RecurrentLayers,
+    _scatter_rows,
     build_network,
     heterogeneous_layer,
     homogeneous_spec,
@@ -241,9 +243,9 @@ def test_training_deterministic_given_seed():
 
 def test_memory_overflow_stops_training_in_the_chunk_that_reads_it():
     """d(t) = d(t-1)^2 + sigmoid(x0) overflows to inf in the second chunk,
-    while h = tanh(...) stays finite.  The per-step guard on the carried-in
-    d stops training in that chunk; a check on h or on the loss alone would
-    fire only a chunk later, once NaN gradients reach the parameters."""
+    while h = tanh(...) stays finite.  The layer's check on the d each step
+    reads stops training in that chunk; a check on h or on the loss alone
+    would fire only a chunk later, once NaN gradients reach the parameters."""
     genome = build_tree(("tanh", ("add", ("add", ("add", ("add", "x1", "x2"), "x3"), "x4"),
                                   ("add@d", ("mul", "dprev", "dprev"), ("sigmoid", "x0")))))
     assert validate(genome) == []
@@ -255,6 +257,108 @@ def test_memory_overflow_stops_training_in_the_chunk_that_reads_it():
     with pytest.raises(TrainingDiverged) as info:
         train(net, task, config)
     assert (info.value.epoch, info.value.batch) == (1, 1)
+
+
+SUM4 = ("add", ("add", ("add", "x1", "x2"), "x3"), "x4")
+# c(t) = c(t-1)^2 + sigmoid(x0) overflows to inf while h = tanh(...) and
+# the base inputs stay finite and d stays zero
+C_OVERFLOW = build_tree(("tanh", ("add", SUM4, ("add@c", ("mul", "cprev", "cprev"),
+                                                ("sigmoid", "x0")))))
+D_OVERFLOW = build_tree(("tanh", ("add", SUM4, ("add@d", ("mul", "dprev", "dprev"),
+                                                ("sigmoid", "x0")))))
+# h is a product of two base-input sums and reads no memory, so only the
+# base inputs (through h_prev @ U) can overflow
+BASE_OVERFLOW = build_tree(("mul", ("add", SUM4, "x0"),
+                            ("add", ("add", ("add", ("add", "x5", "x6"), "x7"), "x0"), "x1")))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("layer, trees, train_tokens, where", [
+    pytest.param(LayerSpec(6, [(0, 6)]), [C_OVERFLOW], 800, (1, 1), id="c-only"),
+    pytest.param(LayerSpec(6, [(0, 6)]), [BASE_OVERFLOW], 800, (1, 8), id="base"),
+    pytest.param(LayerSpec(6, [(0, 3), (1, 3)]), [lstm_reference_tree(), C_OVERFLOW], 800,
+                 (1, 1), id="hetero-one-slot"),
+    # one 10-step chunk per epoch: d stays finite in training and overflows
+    # in the longer pass over the validation split
+    pytest.param(LayerSpec(6, [(0, 6)]), [D_OVERFLOW], 40, (1, -1), id="eval-pass"),
+])
+def test_divergence_raises_where_a_per_step_guard_raised(layer, trees, train_tokens, where):
+    """Each (epoch, batch) was recorded from the engine that checked every
+    cell input before every step; one check per layer per chunk must stop
+    training at the same place, from the same finite-input check."""
+    assert all(validate(t) == [] for t in trees)
+    task = delayed_copy_task(vocab_size=5, delay=2, train_tokens=train_tokens,
+                             valid_tokens=300, test_tokens=300, seed=0)
+    net = build_network(NetworkSpec([layer], 4, vocab_size=5), trees, rng_for(0))
+    config = TrainConfig(unroll_steps=10, batch_size=4, epochs=2, optimizer="adam",
+                         lr=0.01, dropout_ff=0.0, dropout_rec=0.0, seed=0)
+    with pytest.raises(TrainingDiverged) as info:
+        train(net, task, config)
+    assert (info.value.epoch, info.value.batch) == where
+    assert str(info.value.__cause__) == "non-finite cell input"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_layer_forward_rejects_non_finite_cell_inputs():
+    """The layer checks every step's base and the c and d each step reads,
+    once per chunk, with its own floating-point warnings off; the c and d
+    the last step writes are left to the next chunk."""
+    params = {}
+    layers = RecurrentLayers([[(compile_tree(lstm_reference_tree()), 3),
+                               (compile_tree(C_OVERFLOW), 2)]], 2, rng_for(0), params)
+    xs = np.zeros((3, 4, 2))
+    layers.forward(params, xs, layers.zero_states(4))
+    bad = xs.copy()
+    bad[2, 1, 0] = np.nan  # read by the last step only
+    with pytest.raises(ValueError, match="non-finite cell input"):
+        layers.forward(params, bad, layers.zero_states(4))
+    states = layers.zero_states(4)
+    states[0].d[3, 4] = np.inf  # carried in, in the second slot only
+    with pytest.raises(ValueError, match="non-finite cell input"):
+        layers.forward(params, xs, states)
+    # c = cprev^2 + sigmoid(x0) overflows in step 0 from a carried-in 1e200
+    states = layers.zero_states(4)
+    states[0].c[:, 3:] = 1e200
+    with pytest.raises(ValueError, match="non-finite cell input"):
+        layers.forward(params, xs[:2], states)
+    _, after, _ = layers.forward(params, xs[:1], states)
+    assert np.isinf(after[0].c[:, 3:]).all()
+    with pytest.raises(ValueError, match="non-finite cell input"):
+        layers.forward(params, xs[:1], after)
+
+
+def test_scatter_rows_matches_add_at_bit_for_bit():
+    rng = rng_for(3)
+    rows = rng.integers(0, 5, size=300)  # 300 rows into 5: every row repeats
+    values = rng.normal(size=(300, 7)) * 10.0 ** rng.integers(-8, 9, size=(300, 1))
+    values[rng.random(values.shape) < 0.2] = 0.0
+    values[rng.random(values.shape) < 0.2] = -0.0
+    values[rows == 4] = -0.0  # a row of -0.0 alone sums to +0.0
+    for dtype in (np.float64, np.float32):
+        v = values.astype(dtype)
+        expected = np.zeros((6, 7), dtype=dtype)  # row 5 gets nothing
+        np.add.at(expected, rows, v)
+        got = _scatter_rows(rows, v, 6)
+        assert got.dtype == dtype
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_softmax_ce_matches_last_axis_max_bit_for_bit():
+    rng = rng_for(4)
+    logits = rng.normal(size=(3, 5, 4)) * 30.0
+    logits[0, 0] = [-0.0, -1.0, 0.0, -2.0]   # zero max of either sign
+    logits[0, 1] = [-0.0, -0.0, -3.0, -1.0]
+    logits[1, 2] = [2.0, 2.0, 2.0, 2.0]
+    targets = rng.integers(0, 4, size=(3, 5))
+    loss, dlogits = softmax_ce(logits, targets)
+    exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = (exp / exp.sum(axis=-1, keepdims=True)).reshape(-1, 4)
+    picked = probs[np.arange(15), targets.ravel()]
+    assert loss == float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+    expected = probs.copy()
+    expected[np.arange(15), targets.ravel()] -= 1.0
+    expected /= 15
+    assert dlogits.tobytes() == expected.reshape(3, 5, 4).tobytes()
 
 
 def test_zero_lr_freezes_metric():

@@ -36,6 +36,10 @@ def distant_genomes(n, threshold=0.3, start=0):
     return out
 
 
+def _species(state, species_id):
+    return next(sp for sp in state.species if sp.id == species_id)
+
+
 def test_assign_equal_genome_joins_existing():
     state = SpeciationState(SpeciationConfig())
     t = seed_tree()
@@ -78,7 +82,7 @@ def test_improving_species_never_stagnates():
     for _ in range(8):
         state.update_stagnation({sid: fitness})
         fitness -= 0.5
-    sp = state.by_id(sid)
+    sp = _species(state, sid)
     assert sp.state == ACTIVE
     assert sp.stagnation == 0
 
@@ -96,11 +100,11 @@ def test_stagnation_archives_after_exact_limit():
         state.update_stagnation({flat: 7.0, improving: best})
         best -= 0.1
         if update < 5:
-            assert state.by_id(flat).state == ACTIVE, f"archived early at update {update}"
-    assert state.by_id(flat).state == ARCHIVED
+            assert _species(state, flat).state == ACTIVE, f"archived early at update {update}"
+    assert _species(state, flat).state == ARCHIVED
     assert len(state.archive) == 1
     assert serialize(state.archive.entries[0]) == serialize(genomes[0])
-    assert state.by_id(improving).state == ACTIVE
+    assert _species(state, improving).state == ACTIVE
 
 
 def test_one_promotion_per_retirement():
@@ -123,7 +127,7 @@ def test_one_promotion_per_retirement():
                 best[sid] -= 0.1
                 fits[sid] = best[sid]
         promoted_total.extend(state.update_stagnation(fits))
-    assert state.by_id(flat).state == ARCHIVED
+    assert _species(state, flat).state == ARCHIVED
     assert len(promoted_total) == 1
     assert promoted_total[0].id == min(waiting_ids)  # FIFO promotion
     assert state.counts()[ACTIVE] == 10
@@ -134,7 +138,7 @@ def test_last_active_species_survives_without_replacement():
     sid = state.assign("a", seed_tree())
     for _ in range(6):
         state.update_stagnation({sid: 5.0})
-    assert state.by_id(sid).state == ACTIVE
+    assert _species(state, sid).state == ACTIVE
     assert len(state.archive) == 0
 
 
