@@ -7,12 +7,17 @@ elementwise over arbitrarily shaped unit arrays.  Each distinct op list
 is turned, once per process, into Python source for two straight-line
 numpy functions: a forward step that keeps every slot in a local, and
 its reverse, which replays the forward tape and accumulates exact
-adjoints, including through input reuse and the c/d output taps.
+adjoints, including through input reuse and the c/d output taps.  Both
+keep numpy calls few, since at small widths each call's fixed cost is
+most of its price: sigmoid needs no branch, an adjoint an add passes on
+unchanged gets no line of its own, and equal adjacent base adjoints are
+stored by one slice assignment.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -151,13 +156,15 @@ def cell_backward(cell: CompiledCell, tape, grad_h, grad_c, grad_d, out=None) ->
 
 # op -> (forward expression, adjoint term added to each argument in turn);
 # {0}, {1} are the arguments, {out} the op's value and {g} its adjoint.
-# sigmoid is 1 / (1 + e^-a) for a >= 0 and e^a / (1 + e^a) below, so exp
-# never overflows.
+# sigmoid is e^min(a, 0) / (1 + e^-|a|): 1 / (1 + e^-a) for a >= 0 and
+# e^a / (1 + e^a) below, so exp never overflows and no branch is needed.
+# It gives the bits of the branching form on every input but NaN, whose
+# payload may differ; the layers' finite check rejects NaN anyway.
 _RULES = {
     "add": ("{0} + {1}", ("{g}", "{g}")),
     "mul": ("{0} * {1}", ("{g} * {1}", "{g} * {0}")),
     "tanh": ("tanh({0})", ("{g} * (1.0 - {out} ** 2)",)),
-    "sigmoid": ("where({0} >= 0, 1.0, e := exp(-absolute({0}))) / (1.0 + e)",
+    "sigmoid": ("exp(minimum({0}, 0.0)) / (1.0 + exp(-absolute({0})))",
                 ("{g} * {out} * (1.0 - {out})",)),
     "relu": ("maximum({0}, 0.0)", ("{g} * ({0} > 0)",)),
 }
@@ -180,8 +187,11 @@ def _kernel_source(ops, h_slot: int, c_slots, d_slots) -> str:
     Slots are locals ``v<slot>`` and adjoints ``g<slot>``.  The backward
     walks the ops in reverse and adds each contribution to an adjoint in
     the order a slot-by-slot replay of the tape would, so the rounding of
-    every sum is fixed by the op list alone.  It writes all eight base
-    adjoints into ``base``, zero for inputs the cell does not read.
+    every sum is fixed by the op list alone.  An adjoint that equals
+    another (an add passes its own on) gets no line: the other's name is
+    written where it is used.  All eight base adjoints land in ``base``,
+    zero for inputs the cell does not read; runs of adjacent slots that
+    hold the same adjoint, or zero, are filled by one slice assignment.
     """
     n = N_INPUT_SLOTS + len(ops)
     tape = ", ".join(f"v{s}" for s in range(n))
@@ -194,13 +204,21 @@ def _kernel_source(ops, h_slot: int, c_slots, d_slots) -> str:
     fwd.append(f"    return v{h_slot}, {c}, {d}, [{tape}]")
 
     bwd = ["def backward(tape, gh, gc, gd, base):", f"    {tape} = tape"]
+    alias: dict[int, str] = {}   # adjoint -> the name of the one it equals
     seen: set[int] = set()
+
+    def name(slot: int) -> str:
+        return alias.get(slot, f"g{slot}")
 
     def accumulate(slot: int, term: str) -> None:
         if slot in seen:
-            bwd.append(f"    g{slot} = g{slot} + {term}")
+            bwd.append(f"    g{slot} = {name(slot)} + {term}")
+            alias.pop(slot, None)
+            return
+        seen.add(slot)
+        if term.isidentifier():  # another adjoint, unchanged
+            alias[slot] = term
         else:
-            seen.add(slot)
             bwd.append(f"    g{slot} = {term}")
 
     accumulate(h_slot, "gh")
@@ -214,16 +232,20 @@ def _kernel_source(ops, h_slot: int, c_slots, d_slots) -> str:
         op = ops[slot - N_INPUT_SLOTS]
         args = [f"v{s}" for s in op.args]
         for arg, term in zip(op.args, _RULES[op.func][1]):
-            accumulate(arg, term.format(*args, g=f"g{slot}", out=f"v{slot}"))
+            accumulate(arg, term.format(*args, g=name(slot), out=f"v{slot}"))
     dtype = f"v{h_slot}.dtype"
     bwd.append("    if base is None:")
     bwd.append(f"        base = _adjoint_buffer(gh.shape, {dtype})")
-    bwd.extend(f"    base[{k}] = " + (f"g{k}" if k in seen else "0.0")
-               for k in range(T.N_BASE_INPUTS))
+    lo = 0
+    for value, run in itertools.groupby(name(k) if k in seen else "0.0"
+                                        for k in range(T.N_BASE_INPUTS)):
+        hi = lo + len(list(run))
+        bwd.append(f"    base[{lo if hi == lo + 1 else f'{lo}:{hi}'}] = {value}")
+        lo = hi
     outs = []
     for slot, taps, seed in ((SLOT_CPREV, c_slots, "gc"), (SLOT_DPREV, d_slots, "gd")):
         if slot in seen:
-            outs.append(f"g{slot}" if taps else f"g{slot} + {seed}")
+            outs.append(name(slot) if taps else f"{name(slot)} + {seed}")
         elif taps:
             outs.append(f"zeros(gh.shape, {dtype})")
         else:
@@ -233,7 +255,7 @@ def _kernel_source(ops, h_slot: int, c_slots, d_slots) -> str:
 
 
 _KERNEL_GLOBALS = {"absolute": np.absolute, "exp": np.exp, "maximum": np.maximum,
-                   "tanh": np.tanh, "where": np.where, "zeros": np.zeros,
+                   "minimum": np.minimum, "tanh": np.tanh, "zeros": np.zeros,
                    "_adjoint_buffer": _adjoint_buffer}
 
 

@@ -23,7 +23,7 @@ from .data import (
     music_task_from_roll,
 )
 from .grammar import parse
-from .network import LayerSpec, NetworkSpec, build_network
+from .network import NetworkSpec, build_network, homogeneous_spec
 from .training import TrainConfig, TrainingDiverged, train
 
 
@@ -68,7 +68,7 @@ class EvalContext:
                      seed: int | None = None):
         """Train one genome; returns its raw metric curve."""
         net = self.config.network
-        layers = [LayerSpec(net.width, [(0, net.width)])] * net.layers
+        layers = homogeneous_spec(net.width, net.layers, net.embedding_dim).layers
         train_seed = seed if seed is not None else stable_seed(
             self.config.seed, text)
         return self.train_layers(layers, [parse(text)], train_seed, epochs)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compiler import compile_tree, lstm_reference_tree
-from .network import RecurrentLayers, init_uniform
+from .network import FlatParams, RecurrentLayers, init_uniform
+from .training import adam_update
 
 PREFIX_LEN = 10
 
@@ -93,11 +94,12 @@ class _Seq2Seq:
         self.config = config
         self.dtype = dtype
         slots = [[(compile_tree(lstm_reference_tree()), config.width)]] * config.layers
-        self.params: dict[str, np.ndarray] = {}
-        self.encoder = RecurrentLayers(slots, 1, rng, self.params, "enc.", dtype)
-        self.decoder = RecurrentLayers(slots, 1, rng, self.params, "dec.", dtype)
-        self.params["head.W"] = init_uniform(rng, (config.width, 1), config.width, dtype)
-        self.params["head.b"] = np.zeros(1, dtype=dtype)
+        params: dict[str, np.ndarray] = {}
+        self.encoder = RecurrentLayers(slots, 1, rng, params, "enc.", dtype)
+        self.decoder = RecurrentLayers(slots, 1, rng, params, "dec.", dtype)
+        params["head.W"] = init_uniform(rng, (config.width, 1), config.width, dtype)
+        params["head.b"] = np.zeros(1, dtype=dtype)
+        self.params = FlatParams.pack(params)
 
     def forward(self, prefix_log, record=False):
         batch = prefix_log.shape[0]
@@ -129,7 +131,7 @@ class _Seq2Seq:
         (batch, decoder_len); unsupervised steps pass zero columns and
         still receive gradient through the autoregressive feedback path.
         """
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        grads = self.params.zeros_like()
         batch = douts.shape[0]
         carry = self.decoder.zero_states(batch)
         dout_next = None  # adjoint fed back from the following step's input
@@ -179,18 +181,11 @@ class CurvePredictor:
 
 
 def _adam_step(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam update of a member's ``FlatParams`` by ``grads``; ``state``
+    holds the step count and the flat moments."""
     state["t"] += 1
-    t = state["t"]
-    for k in params:
-        g = grads[k]
-        if k not in state["m"]:
-            state["m"][k] = np.zeros_like(g)
-            state["v"][k] = np.zeros_like(g)
-        state["m"][k] = beta1 * state["m"][k] + (1 - beta1) * g
-        state["v"][k] = beta2 * state["v"][k] + (1 - beta2) * g * g
-        mhat = state["m"][k] / (1 - beta1 ** t)
-        vhat = state["v"][k] / (1 - beta2 ** t)
-        params[k] -= lr * mhat / (np.sqrt(vhat) + eps)
+    adam_update(params.flat, grads.flat, state["m"], state["v"], state["t"], lr,
+                beta1, beta2, eps)
 
 
 def _train_member(member: _Seq2Seq, train_x, train_y, val_x, val_y,
@@ -203,9 +198,10 @@ def _train_member(member: _Seq2Seq, train_x, train_y, val_x, val_y,
     """
     # start the head at the mean log target so gradients are on-scale
     member.params["head.b"][:] = float(np.mean(np.log(train_y)))
-    opt = {"t": 0, "m": {}, "v": {}}
+    opt = {"t": 0, "m": np.zeros_like(member.params.flat),
+           "v": np.zeros_like(member.params.flat)}
     best_val = np.inf
-    best_params = {k: v.copy() for k, v in member.params.items()}
+    best_params = member.params.flat.copy()
     since_best = 0
     n = train_x.shape[0]
     batch = n if config.batch_size in (0, None) else min(config.batch_size, n)
@@ -230,13 +226,13 @@ def _train_member(member: _Seq2Seq, train_x, train_y, val_x, val_y,
         val_mae = mae_percent(val_pred, val_y)
         if val_mae < best_val - 1e-9:
             best_val = val_mae
-            best_params = {k: v.copy() for k, v in member.params.items()}
+            best_params = member.params.flat.copy()
             since_best = 0
         else:
             since_best += 1
             if since_best >= config.patience:
                 break
-    member.params.update(best_params)
+    member.params.flat[...] = best_params
 
 
 def train_meta(samples, config: MetaConfig = MetaConfig(),
@@ -382,8 +378,12 @@ def load_model(path) -> CurvePredictor:
         for i, dec_len in enumerate(config.decoder_lens):
             member = _Seq2Seq(int(blob[f"member{i}/decoder_len"]), config,
                               np.random.Generator(np.random.PCG64(0)))
-            for k in list(member.params):
-                member.params[k] = blob[f"member{i}/{k}"]
+            for k, param in member.params.items():
+                saved = blob[f"member{i}/{k}"]
+                if saved.shape != param.shape:
+                    raise ValueError(f"member{i}/{k} has shape {saved.shape}, "
+                                     f"expected {param.shape}")
+                param[...] = saved
             model.members.append(member)
         model.trained = True
     return model

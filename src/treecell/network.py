@@ -63,6 +63,33 @@ def init_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndar
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
+class FlatParams(dict):
+    """Named arrays that are all views of one flat vector, ``flat``.
+
+    An optimizer updates every array with one pass over ``flat``.  Write
+    into an entry (``params[name][...] = value``) rather than rebinding it,
+    or the entry stops being part of ``flat``.
+    """
+
+    def __init__(self, flat: np.ndarray, layout):
+        super().__init__({name: flat[lo:hi].reshape(shape) for name, lo, hi, shape in layout})
+        self.flat = flat
+        self.layout = layout   # (name, start, stop, shape) per entry
+
+    @classmethod
+    def pack(cls, arrays: dict) -> "FlatParams":
+        """Copy ``arrays`` into one new flat vector, in their order."""
+        layout, start = [], 0
+        for name, a in arrays.items():
+            layout.append((name, start, start + a.size, a.shape))
+            start += a.size
+        return cls(np.concatenate([a.ravel() for a in arrays.values()]), layout)
+
+    def zeros_like(self) -> "FlatParams":
+        # np.zeros allocates zeroed memory; np.zeros_like fills an empty array
+        return FlatParams(np.zeros(self.flat.shape, self.flat.dtype), self.layout)
+
+
 def _batch_sums(stack: np.ndarray) -> np.ndarray:
     """Sums over the batch axis of an (L, B, N) stack, per step.
 
@@ -95,9 +122,11 @@ def _check_finite(bases: np.ndarray, carried: list) -> None:
     """Raise unless a layer's chunk of cell inputs is all finite.
 
     ``bases`` holds every step's base inputs and ``carried`` the c and d
-    arrays the steps read.  Those are stacked into one array, except for a
-    1-step chunk, where that would only add a copy.
+    arrays the steps read.  A cell that passes c or d through hands the
+    same array to every step, so each distinct array is checked once; when
+    more than two remain, they are stacked into one.
     """
+    carried = list({id(a): a for a in carried}.values())
     arrays = [bases, *carried] if len(carried) <= 2 else [bases, np.array(carried)]
     # one ufunc reduction each; cheaper per call than np.all on small arrays
     if not all(np.logical_and.reduce(np.isfinite(a), axis=None) for a in arrays):
@@ -278,7 +307,7 @@ class RecurrentLayers:
 
 
 class Network:
-    """Compiled cells plus the trainable parameter set."""
+    """Compiled cells plus the trainable parameter set, one ``FlatParams``."""
 
     def __init__(self, spec: NetworkSpec, trees, rng: np.random.Generator,
                  dtype=np.float64):
@@ -289,21 +318,22 @@ class Network:
             if total != layer.width:
                 raise ValueError(
                     f"slot cardinalities sum to {total}, layer width is {layer.width}")
-        self.params: dict[str, np.ndarray] = {}
+        params: dict[str, np.ndarray] = {}
         if spec.embedding_dim > 0:
-            self.params["embedding"] = init_uniform(
+            params["embedding"] = init_uniform(
                 rng, (spec.vocab_size, spec.embedding_dim), spec.vocab_size, dtype)
         self.layers = RecurrentLayers(
             [[(compile_tree(trees[idx]), card) for idx, card in layer.slots]
              for layer in spec.layers],
-            spec.in_dim, rng, self.params, dtype=dtype)
+            spec.in_dim, rng, params, dtype=dtype)
         self.cells = self.layers.cells
         top = spec.layers[-1].width if spec.layers else spec.in_dim
-        self.params["head.W"] = init_uniform(rng, (top, spec.out_dim), top, dtype)
-        self.params["head.b"] = np.zeros(spec.out_dim, dtype=dtype)
+        params["head.W"] = init_uniform(rng, (top, spec.out_dim), top, dtype)
+        params["head.b"] = np.zeros(spec.out_dim, dtype=dtype)
+        self.params = FlatParams.pack(params)
 
     def param_count(self) -> int:
-        return sum(int(np.prod(p.shape)) for p in self.params.values())
+        return self.params.flat.size
 
     def zero_states(self, batch: int) -> list[CellState]:
         return self.layers.zero_states(batch)
@@ -335,7 +365,7 @@ class Network:
             cache = {"x": x, "masks": masks, "layers": layer_caches, "tops": tops}
         return logits, states, cache
 
-    def backward_chunk(self, cache, dlogits) -> dict[str, np.ndarray]:
+    def backward_chunk(self, cache, dlogits) -> FlatParams:
         """Adjoints of every parameter for one recorded chunk.
 
         Gradients truncate at the chunk boundary: adjoints of the carried-in
@@ -343,7 +373,7 @@ class Network:
         """
         x = cache["x"]
         masks = cache["masks"]
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        grads = self.params.zeros_like()
         dls = dlogits.transpose(1, 0, 2)
         _add_descending(grads["head.W"], cache["tops"].transpose(0, 2, 1) @ dls)
         _add_descending(grads["head.b"], _batch_sums(dls))
@@ -354,9 +384,9 @@ class Network:
                                    self.zero_states(x.shape[0]), masks)
         if self.spec.embedding_dim > 0:
             # one scatter, adding in backpropagation order: t descending, then b
-            grads["embedding"] = _scatter_rows(x.T[::-1].ravel(),
-                                              dxs[::-1].reshape(-1, dxs.shape[2]),
-                                              self.spec.vocab_size)
+            grads["embedding"][...] = _scatter_rows(x.T[::-1].ravel(),
+                                                   dxs[::-1].reshape(-1, dxs.shape[2]),
+                                                   self.spec.vocab_size)
         return grads
 
 

@@ -97,33 +97,48 @@ class SGD:
         self.epoch = 1
 
     def step(self, params, grads):
-        lr = self.config.lr_at(self.epoch)
-        for k in params:
-            params[k] -= lr * grads[k]
+        """One update of ``params`` (a ``FlatParams``) by ``grads``, of the
+        same layout, in one pass over the flat vectors."""
+        params.flat -= self.config.lr_at(self.epoch) * grads.flat
+
+
+def adam_update(p, g, m, v, t: int, lr, beta1, beta2, eps) -> None:
+    """One Adam step on flat vectors, in place: ``p`` the parameters, ``g``
+    their gradient, ``m`` and ``v`` the moments, ``t`` the 1-based step.
+
+    Each value is rounded as in ``p -= lr * mhat / (sqrt(vhat) + eps)``
+    with ``m = beta1 * m + (1 - beta1) * g`` and ``v = beta2 * v +
+    (1 - beta2) * g * g``; keep that order, or the results change bits.
+    """
+    m *= beta1
+    m += (1 - beta1) * g
+    v *= beta2
+    v += (1 - beta2) * g * g
+    step = m / (1 - beta1 ** t)
+    denom = np.sqrt(v / (1 - beta2 ** t))
+    denom += eps
+    step *= lr
+    step /= denom
+    p -= step
 
 
 class Adam:
     def __init__(self, config: TrainConfig, beta1=0.9, beta2=0.999, eps=1e-8):
         self.config = config
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m = self.v = None
         self.t = 0
         self.epoch = 1
 
     def step(self, params, grads):
+        """One update of ``params`` (a ``FlatParams``) by ``grads``, of the
+        same layout, in one pass over the flat vectors."""
         self.t += 1
-        lr = self.config.lr
-        for k in params:
-            g = grads[k]
-            if k not in self.m:
-                self.m[k] = np.zeros_like(g)
-                self.v[k] = np.zeros_like(g)
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            mhat = self.m[k] / (1 - self.beta1 ** self.t)
-            vhat = self.v[k] / (1 - self.beta2 ** self.t)
-            params[k] -= lr * mhat / (np.sqrt(vhat) + self.eps)
+        if self.m is None:
+            self.m = np.zeros_like(grads.flat)
+            self.v = np.zeros_like(grads.flat)
+        adam_update(params.flat, grads.flat, self.m, self.v, self.t, self.config.lr,
+                    self.beta1, self.beta2, self.eps)
 
 
 def make_optimizer(config: TrainConfig):
@@ -279,6 +294,7 @@ def train(network: Network, task: SequenceTask, config: TrainConfig,
                 raise TrainingDiverged(epoch, bi)
             with np.errstate(over="ignore", invalid="ignore"):
                 grads = network.backward_chunk(cache, dlogits)
+            del cache  # or it stays alive through the next chunk's forward
             if config.l2 > 0:
                 for k, p in network.params.items():
                     if p.ndim >= 2:

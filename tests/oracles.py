@@ -7,6 +7,7 @@ run a compiled cell op by op, dispatching on the op name, as the reference
 for the generated straight-line kernels, and the ``step_major_*`` functions
 run networks and predictor members one time step at a time up the layer
 stack, as the reference for the layer-major sequence engine.
+``assert_views_of_flat`` checks a parameter set against its flat vector.
 """
 
 import numpy as np
@@ -31,6 +32,13 @@ from treecell.tree import N_BASE_INPUTS
 
 def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def assert_views_of_flat(params):
+    """Every entry of ``params`` is a view of its own stretch of ``params.flat``."""
+    params.flat[...] = np.arange(params.flat.size)
+    entries = np.concatenate([p.ravel() for p in params.values()])
+    assert np.array_equal(np.sort(entries), np.arange(params.flat.size))
 
 
 def closed_form_lstm(x_gates, c_prev):

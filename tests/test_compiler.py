@@ -229,3 +229,12 @@ def test_kernels_match_interpreter_bit_for_bit(genome, batch, width, scale, seed
         assert np.array_equal(_bits(getattr(out, name)), _bits(getattr(ref, name))), name
     for name in ("base", "c_prev", "d_prev"):
         assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(ref_back, name))), name
+    # into the (B, 8, W) storage a layer passes, NaN first, so that a base
+    # slot the kernel misses or writes twice with a stale value shows
+    stored = np.full(unit[:-1] + (8, width), np.nan)
+    out = np.moveaxis(stored, -2, 0)
+    with np.errstate(all="ignore"):
+        into = cell_backward(cell, tape, *grads, out=out)
+    assert into.base is out
+    for name in ("base", "c_prev", "d_prev"):
+        assert np.array_equal(_bits(getattr(into, name)), _bits(getattr(ref_back, name))), name

@@ -15,6 +15,8 @@ from treecell.meta import (
     train_meta,
 )
 
+from oracles import assert_views_of_flat
+
 
 def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
@@ -231,6 +233,33 @@ def test_model_file_round_trip(tmp_path, constant_model):
     again = load_model(path)
     prefix = np.full(10, 4.0)
     assert again.predict(prefix) == model.predict(prefix)
+
+
+def test_member_parameters_stay_views_after_restore_and_load(tmp_path):
+    # patience 1 over 4 epochs: the best parameters are copied back at the end
+    cfg = MetaConfig(width=4, layers=1, epochs=4, batch_size=40, lr=0.01,
+                     patience=1, seed=2)
+    model = train_meta(constant_family(120, seed=3), cfg)
+    path = tmp_path / "meta.npz"
+    save_model(model, path)
+    again = load_model(path)
+    for a, b in zip(model.members, again.members):
+        assert a.params.flat.tobytes() == b.params.flat.tobytes()
+    for member in model.members + again.members:
+        assert_views_of_flat(member.params)
+
+
+def test_load_model_rejects_a_parameter_of_the_wrong_shape(tmp_path, constant_model):
+    model, _ = constant_model
+    path = tmp_path / "meta.npz"
+    save_model(model, path)
+    with np.load(path) as blob:
+        arrays = dict(blob)
+    arrays["member0/head.b"] = np.zeros(2)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ValueError, match="member0/head.b has shape"):
+        load_model(path)
 
 
 def test_crossing_family_beats_baseline(crossing_model):

@@ -18,6 +18,7 @@ from treecell.network import (
     homogeneous_spec,
 )
 from treecell.training import (
+    Adam,
     TrainConfig,
     TrainingDiverged,
     clip_gradients,
@@ -31,7 +32,11 @@ from treecell.training import (
 )
 from treecell.tree import build_tree, seed_tree, validate
 
-from oracles import step_major_backward_chunk, step_major_forward_chunk
+from oracles import (
+    assert_views_of_flat,
+    step_major_backward_chunk,
+    step_major_forward_chunk,
+)
 
 
 def rng_for(seed):
@@ -325,6 +330,68 @@ def test_layer_forward_rejects_non_finite_cell_inputs():
     assert np.isinf(after[0].c[:, 3:]).all()
     with pytest.raises(ValueError, match="non-finite cell input"):
         layers.forward(params, xs[:1], after)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pass_through_layer_rejects_a_carried_in_inf():
+    """The seed tree passes c and d through, so every step reads the
+    carried-in arrays themselves; each is checked, in 1-step chunks too."""
+    params = {}
+    layers = RecurrentLayers([[(compile_tree(seed_tree()), 3)]], 2, rng_for(0), params)
+    xs = np.zeros((3, 4, 2))
+    for length in (1, 3):
+        layers.forward(params, xs[:length], layers.zero_states(4))
+        for memory in ("c", "d"):
+            states = layers.zero_states(4)
+            getattr(states[0], memory)[2, 1] = np.inf
+            with pytest.raises(ValueError, match="non-finite cell input"):
+                layers.forward(params, xs[:length], states)
+
+
+def test_parameters_and_gradients_are_views_of_one_flat_vector():
+    task = delayed_copy_task(vocab_size=5, delay=2, train_tokens=400,
+                             valid_tokens=200, test_tokens=200, seed=0)
+    spec = NetworkSpec([LayerSpec(6, [(0, 3), (1, 3)])] * 2, 4, vocab_size=5)
+    for optimizer in ("sgd", "adam"):
+        net = build_network(spec, [lstm_reference_tree(), BOTH_TAPS], rng_for(1))
+        before = {k: v.copy() for k, v in net.params.items()}
+        train(net, task, TrainConfig(unroll_steps=10, batch_size=4, epochs=1,
+                                     optimizer=optimizer, lr=0.01, seed=2))
+        assert all(not np.array_equal(before[k], v) for k, v in net.params.items())
+        x = rng_for(3).integers(0, 5, size=(4, 7))
+        logits, _, cache = net.forward_chunk(x, net.zero_states(4), record=True)
+        grads = net.backward_chunk(cache, softmax_ce(logits, x)[1])
+        assert grads.keys() == net.params.keys()
+        assert_views_of_flat(grads)
+        assert_views_of_flat(net.params)
+        assert net.param_count() == net.params.flat.size
+
+
+def test_flat_adam_matches_per_parameter_adam_bit_for_bit():
+    """The one-pass update against the per-parameter loop it replaced."""
+    spec = NetworkSpec([LayerSpec(6, [(0, 6)])], 4, vocab_size=5)
+    for dtype in (np.float64, np.float32):
+        net = build_network(spec, [lstm_reference_tree()], rng_for(4), dtype=dtype)
+        ref = {k: v.copy() for k, v in net.params.items()}
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v = {k: np.zeros_like(p) for k, p in ref.items()}
+        config = TrainConfig(optimizer="adam", lr=0.01)
+        adam = Adam(config)
+        rng = rng_for(5)
+        for t in range(1, 4):
+            grads = net.params.zeros_like()
+            grads.flat[...] = rng.normal(size=grads.flat.size) * 10.0 ** rng.integers(-6, 3)
+            adam.step(net.params, grads)
+            for k in ref:
+                g = grads[k]
+                m[k] = 0.9 * m[k] + (1 - 0.9) * g
+                v[k] = 0.999 * v[k] + (1 - 0.999) * g * g
+                mhat = m[k] / (1 - 0.9 ** t)
+                vhat = v[k] / (1 - 0.999 ** t)
+                ref[k] -= config.lr * mhat / (np.sqrt(vhat) + 1e-8)
+            for k in ref:
+                assert net.params[k].dtype == dtype
+                assert net.params[k].tobytes() == ref[k].tobytes(), (dtype, t, k)
 
 
 def test_scatter_rows_matches_add_at_bit_for_bit():
