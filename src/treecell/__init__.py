@@ -23,7 +23,6 @@ from .tree import (
 )
 from .grammar import ParseError, parse, serialize
 from .genetic import (
-    DistanceParams,
     SharedRegion,
     crossover_homologous,
     mutate_insert,

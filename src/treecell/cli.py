@@ -9,6 +9,7 @@ single worker, and 64-bit precision.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -77,15 +78,8 @@ def _load_experiment(args) -> ExperimentConfig:
 # --- evolve --------------------------------------------------------------------
 
 
-STATS_HEADER = ("generation", "best_fitness", "mean_fitness", "evaluated",
-                "active_species", "waiting_species", "archived_species",
-                "archive_size", "best_genome")
-
-
-def _stats_row(stats):
-    return (stats.generation, stats.best_fitness, stats.mean_fitness,
-            stats.evaluated, stats.active_species, stats.waiting_species,
-            stats.archived_species, stats.archive_size, stats.best_genome)
+# stats.csv columns and checkpoint history rows: GenerationStats' fields, in order
+STATS_HEADER = tuple(f.name for f in dataclasses.fields(evolution.GenerationStats))
 
 
 def _checkpoint_blob(generation, population, spec_state, records, history, lineage_bytes):
@@ -99,7 +93,7 @@ def _checkpoint_blob(generation, population, spec_state, records, history, linea
             k: {"curve": r.curve, "fitness": r.fitness, "mode": r.mode}
             for k, r in records.items()
         },
-        "history": [list(_stats_row(h)) for h in history],
+        "history": [list(dataclasses.astuple(h)) for h in history],
     }, allow_nan=True)
 
 
@@ -144,9 +138,9 @@ def cmd_evolve(args) -> int:
         except (ValueError, KeyError, json.JSONDecodeError) as exc:
             return _fail(f"corrupt checkpoint {checkpoint_path}: {exc}")
         if start_state[0] >= config.evolution.generations:
-            best = min(start_state[3].values(), key=lambda r: r.fitness)
-            print(f"run already finished; best fitness {best.fitness}")
-            print(best.key)
+            best_fitness, best_key = evolution.best_of(start_state[3])
+            print(f"run already finished; best fitness {best_fitness}")
+            print(best_key)
             return 0
 
     lineage_path = out_dir / "lineage.log"
@@ -162,7 +156,7 @@ def cmd_evolve(args) -> int:
         def on_generation(stats, population, spec_state, records):
             history_rows.append(stats)
             write_csv(out_dir / "stats.csv", STATS_HEADER,
-                      [_stats_row(h) for h in history_rows])
+                      [dataclasses.astuple(h) for h in history_rows])
             atomic_write(checkpoint_path,
                          _checkpoint_blob(stats.generation, population,
                                           spec_state, records, history_rows, sink.tell()))
@@ -328,14 +322,13 @@ def cmd_meta(args) -> int:
         model = meta.load_model(args.model)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    if args.curve:
-        values = [float(v) for v in args.curve.split(",")]
-    else:
+    if not args.curve:
         return _fail("provide --curve v1,...,v10")
     try:
-        prediction = model.predict(values)
+        values = [float(v) for v in args.curve.split(",")]
+        prediction = float(model.predict_batch([values])[0])
     except ValueError as exc:
-        return _fail(str(exc))
+        return _fail(f"--curve: {exc}")
     print(prediction)
     return 0
 

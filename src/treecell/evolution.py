@@ -156,8 +156,8 @@ def genome_key(tree: NodeTree) -> str:
     return canonical_text(tree)
 
 
-def evaluate_generation(population, evaluator, records, fitness_mode,
-                        partial_epochs, keys=None, pool=None) -> dict[str, FitnessRecord]:
+def evaluate_generation(population, evaluator, records, fitness_mode, keys=None,
+                        pool=None, predictor=None) -> dict[str, FitnessRecord]:
     """Fill the record cache for every genome in ``population``.
 
     Identical genomes (same canonical text) share one record and are never
@@ -165,30 +165,39 @@ def evaluate_generation(population, evaluator, records, fitness_mode,
     failures yield the worst-possible fitness instead of aborting.  Pass an
     executor as ``pool`` (with the evaluator importable in workers) to fan
     evaluation out; results are keyed by genome, so scheduling order never
-    affects the outcome.
+    affects the outcome.  In ``meta_predicted`` mode each new finite curve's
+    fitness is ``predictor``'s extrapolated final metric, all predicted in
+    one batch in sorted key order; a record keeps its fitness for good.
     """
     keys = keys if keys is not None else [genome_key(g) for g in population]
     pending = sorted({k for k in keys if k not in records})
     if pool is not None:
-        results = dict(zip(pending, pool.map(evaluator, pending)))
+        curves = dict(zip(pending, pool.map(evaluator, pending)))
     else:
-        results = {k: evaluator(k) for k in pending}
-    for key, curve in results.items():
-        records[key] = _record_from_curve(key, curve, fitness_mode, partial_epochs)
+        curves = {k: evaluator(k) for k in pending}
+    finite = [k for k in pending if curves[k] is not None
+              and all(math.isfinite(v) for v in curves[k])]
+    if fitness_mode == "meta_predicted" and finite:
+        values = predictor.predict_batch([curves[k] for k in finite])
+    else:
+        values = [curves[k][-1] for k in finite]
+    fitness = dict(zip(finite, map(float, values)))
+    for key in pending:
+        if key in fitness:
+            records[key] = FitnessRecord(key, list(curves[key]), fitness[key], fitness_mode)
+        else:
+            records[key] = FitnessRecord(key, [], WORST_FITNESS, fitness_mode)
     return records
 
 
-def _record_from_curve(key, curve, fitness_mode, partial_epochs) -> FitnessRecord:
-    if curve is None or any(not math.isfinite(v) for v in curve):
-        return FitnessRecord(key, [], WORST_FITNESS, fitness_mode)
-    return FitnessRecord(key, list(curve), float(curve[-1]), fitness_mode)
+def best_of(records) -> tuple[float, str]:
+    """The lowest (fitness, key) among the finite records; (inf, "") if none.
 
-
-def apply_meta_fitness(records, predictor) -> None:
-    """Replace each record's fitness with the predicted final metric."""
-    for rec in records.values():
-        if rec.mode == "meta_predicted" and rec.curve and math.isfinite(rec.fitness):
-            rec.fitness = float(predictor.predict(rec.curve))
+    Ties go to the smaller key, so the answer depends only on the records,
+    not on the order they were made or restored in.
+    """
+    return min(((r.fitness, k) for k, r in records.items() if math.isfinite(r.fitness)),
+               default=(WORST_FITNESS, ""))
 
 
 def _spawn_allocation(species_scores, population_size) -> dict[int, int]:
@@ -355,14 +364,6 @@ def run(config: EvolutionConfig, evaluator, predictor=None,
     else:
         start_gen, population, spec_state, records, history = start_state
 
-    best_key = None
-    best_fitness = WORST_FITNESS
-    best_tree = None
-    for rec in records.values():
-        if rec.fitness < best_fitness:
-            best_fitness, best_key = rec.fitness, rec.key
-            best_tree = parse(rec.key)
-
     promoted_reps = []
     for gen in range(start_gen, config.generations):
         keys = [genome_key(g) for g in population]
@@ -370,9 +371,7 @@ def run(config: EvolutionConfig, evaluator, predictor=None,
         active_ids = {sp.id for sp in spec_state.species if sp.state == ACTIVE}
         eval_keys = [k for k in keys if assignment[k] in active_ids]
         evaluate_generation(population, evaluator, records, config.fitness_mode,
-                            config.partial_epochs, keys=eval_keys, pool=pool)
-        if config.fitness_mode == "meta_predicted":
-            apply_meta_fitness(records, predictor)
+                            keys=eval_keys, pool=pool, predictor=predictor)
 
         generation_best: dict[int, float] = {}
         for sp in spec_state.species:
@@ -385,13 +384,6 @@ def run(config: EvolutionConfig, evaluator, predictor=None,
                                   key=lambda m: records[m].fitness)
                 sp.representative = parse(best_member)
 
-        for k in eval_keys:
-            rec = records.get(k)
-            if rec is not None and rec.fitness < best_fitness:
-                best_fitness = rec.fitness
-                best_key = k
-                best_tree = parse(k)
-
         promoted = spec_state.update_stagnation(generation_best)
         promoted_reps = [sp.representative for sp in promoted]
 
@@ -399,6 +391,7 @@ def run(config: EvolutionConfig, evaluator, predictor=None,
                      if k in records]
         finite = [f for f in evaluated if math.isfinite(f)]
         counts = spec_state.counts()
+        best_fitness, best_key = best_of(records)
         stats = GenerationStats(
             generation=gen,
             best_fitness=best_fitness,
@@ -408,7 +401,7 @@ def run(config: EvolutionConfig, evaluator, predictor=None,
             waiting_species=counts["waiting"],
             archived_species=counts["archived"],
             archive_size=len(spec_state.archive),
-            best_genome=best_key or "",
+            best_genome=best_key,
         )
         history.append(stats)
         # reproduce even at the final generation: the callback then always
@@ -419,16 +412,15 @@ def run(config: EvolutionConfig, evaluator, predictor=None,
         if on_generation is not None:
             on_generation(stats, population, spec_state, records)
 
-    if best_tree is None:
-        # generations == 0: evaluate the initial population only
+    best_fitness, best_key = best_of(records)
+    if not best_key:
+        # generations == 0, or nothing finite yet: evaluate the population
+        # the next generation would, and fall back to its first genome
         keys = [genome_key(g) for g in population]
         evaluate_generation(population, evaluator, records, config.fitness_mode,
-                            config.partial_epochs, keys=keys, pool=pool)
-        if config.fitness_mode == "meta_predicted":
-            apply_meta_fitness(records, predictor)
-        best_key = min(keys, key=lambda k: records[k].fitness)
-        best_fitness = records[best_key].fitness
-        best_tree = parse(best_key)
+                            keys=keys, pool=pool, predictor=predictor)
+        best_fitness, best_key = best_of(records)
+        best_key = best_key or keys[0]
 
-    return RunResult(best_tree, best_fitness, history, population, records,
+    return RunResult(parse(best_key), best_fitness, history, population, records,
                      spec_state)

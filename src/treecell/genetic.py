@@ -18,13 +18,7 @@ from . import tree as T
 from .tree import NodeTree
 
 RETRY_BUDGET = 20
-
-
-@dataclass(frozen=True)
-class DistanceParams:
-    """Weighting between the size and depth terms; beta=0.5 weighs them equally."""
-
-    beta: float = 0.5
+DISTANCE_BETA = 0.5  # weight of the size term against the depth term: equal
 
 
 @dataclass(frozen=True)
@@ -80,21 +74,21 @@ def shared_region(ta: NodeTree, tb: NodeTree) -> SharedRegion:
     return SharedRegion(tuple(pairs), len(pairs), depth_shared, ra, rb)
 
 
-def tree_distance(ta: NodeTree, tb: NodeTree,
-                  params: DistanceParams = DistanceParams()) -> float:
+def tree_distance(ta: NodeTree, tb: NodeTree) -> float:
     """Structural distance in [0, 1]; 0 iff the shapes match under rotation.
 
     delta = beta * (N - 2 n_S) / (N - 2) + (1 - beta) * (D - 2 d_S) / (D - 2)
-    with N/D the summed sizes/depths of both trees and n_S/d_S those of the
-    shared region.  A degenerate denominator (both trees minimal in that
-    dimension) contributes 0: there is no difference left to measure.
+    with beta = DISTANCE_BETA, N/D the summed sizes/depths of both trees
+    and n_S/d_S those of the shared region.  A degenerate denominator
+    (both trees minimal in that dimension) contributes 0: there is no
+    difference left to measure.
     """
     region = shared_region(ta, tb)
     n = T.size(ta) + T.size(tb)
     d = T.height(ta) + T.height(tb)
     size_term = (n - 2 * region.n_shared) / (n - 2) if n > 2 else 0.0
     depth_term = (d - 2 * region.depth_shared) / (d - 2) if d > 2 else 0.0
-    return params.beta * size_term + (1.0 - params.beta) * depth_term
+    return DISTANCE_BETA * size_term + (1.0 - DISTANCE_BETA) * depth_term
 
 
 # --- mutations --------------------------------------------------------------

@@ -162,20 +162,17 @@ class CurvePredictor:
     members: list = field(default_factory=list)
     trained: bool = False
 
-    def predict(self, prefix) -> float:
+    def predict_batch(self, prefixes) -> np.ndarray:
+        """Predicted final metric for each row of ``prefixes``, shape
+        (n, PREFIX_LEN); every value must be finite and positive."""
         if not self.trained:
             raise RuntimeError("model is not trained")
-        prefix = np.asarray(prefix, dtype=np.float64)
-        if prefix.shape != (PREFIX_LEN,):
-            raise ValueError(f"prefix must have {PREFIX_LEN} values")
-        if np.min(prefix) <= 0:
-            raise ValueError("prefix values must be positive")
-        logp = np.log(prefix)[None, :]
-        preds = [float(np.exp(m.forward(logp)[0, -1])) for m in self.members]
-        return float(np.mean(preds))
-
-    def predict_batch(self, prefixes) -> np.ndarray:
-        logp = np.log(np.asarray(prefixes, dtype=np.float64))
+        prefixes = np.asarray(prefixes, dtype=np.float64)
+        if prefixes.ndim != 2 or prefixes.shape[1] != PREFIX_LEN:
+            raise ValueError(f"each prefix must have {PREFIX_LEN} values")
+        if not np.all(np.isfinite(prefixes) & (prefixes > 0)):
+            raise ValueError("prefix values must be finite and positive")
+        logp = np.log(prefixes)
         member_preds = [np.exp(m.forward(logp)[:, -1]) for m in self.members]
         return np.mean(member_preds, axis=0)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .genetic import DistanceParams, tree_distance
+from .genetic import tree_distance
 from .grammar import parse, serialize
 from .tree import NodeTree
 
@@ -55,11 +55,10 @@ class StagnationArchive:
 
 
 def in_archived_region(genome: NodeTree, archive: StagnationArchive,
-                       threshold: float,
-                       params: DistanceParams = DistanceParams()) -> bool:
+                       threshold: float) -> bool:
     """True iff the genome lies within threshold of any archived representative."""
     return any(
-        tree_distance(genome, entry, params) < threshold
+        tree_distance(genome, entry) < threshold
         for entry in archive.entries)
 
 
@@ -72,10 +71,8 @@ class SpeciationState:
     barrier; evaluation reads immutable snapshots.
     """
 
-    def __init__(self, config: SpeciationConfig,
-                 params: DistanceParams = DistanceParams()):
+    def __init__(self, config: SpeciationConfig):
         self.config = config
-        self.params = params
         self.species: list[Species] = []
         self.archive = StagnationArchive()
         self._next_id = 0
@@ -91,8 +88,7 @@ class SpeciationState:
         for sp in self.species:
             if sp.state == ARCHIVED:
                 continue
-            if tree_distance(genome, sp.representative, self.params) \
-                    < self.config.compatibility_threshold:
+            if tree_distance(genome, sp.representative) < self.config.compatibility_threshold:
                 sp.members.append(key)
                 return sp.id
         state = ACTIVE if self.active_count() < self.config.max_active else WAITING
@@ -150,7 +146,7 @@ class SpeciationState:
 
     def violates_archive(self, genome: NodeTree) -> bool:
         return in_archived_region(genome, self.archive,
-                                  self.config.compatibility_threshold, self.params)
+                                  self.config.compatibility_threshold)
 
     # -- checkpoint form ---------------------------------------------------------
 
@@ -173,9 +169,8 @@ class SpeciationState:
         }
 
     @classmethod
-    def from_json(cls, data: dict, config: SpeciationConfig,
-                  params: DistanceParams = DistanceParams()) -> "SpeciationState":
-        state = cls(config, params)
+    def from_json(cls, data: dict, config: SpeciationConfig) -> "SpeciationState":
+        state = cls(config)
         state._next_id = data["next_id"]
         for item in data["species"]:
             state.species.append(Species(

@@ -9,7 +9,8 @@ from treecell.cli import main
 from treecell.config import ExperimentConfig, save_config
 from treecell.grammar import parse, serialize
 from treecell.genetic import random_genome
-from treecell.meta import load_model, save_samples_csv, synthetic_curves
+from treecell.meta import (MetaConfig, load_model, save_model, save_samples_csv,
+                           synthetic_curves, train_meta)
 
 
 def tiny_config(tmp_path, **overrides) -> Path:
@@ -230,7 +231,22 @@ def test_meta_cli_round_trip(tmp_path, capsys):
                  "--curve", curve]) == 0
     printed = float(capsys.readouterr().out.strip().splitlines()[-1])
     model = load_model(model_path)
-    assert printed == model.predict(samples[0].prefix)
+    assert printed == model.predict_batch([samples[0].prefix])[0]
+
+
+@pytest.mark.parametrize("curve, message", [
+    ("9,8.5,x", "could not convert string to float"),
+    ("9,8.5,nan,7.8,7.6,7.4,7.3,7.2,7.1,7.0", "finite and positive"),
+    ("9,8.5,8.1,7.8,7.6,7.4,7.3,7.2,7.1,inf", "finite and positive"),
+    ("9,8.5,8.1", "10 values"),
+])
+def test_meta_predict_rejects_a_bad_curve(tmp_path, capsys, curve, message):
+    samples, _ = synthetic_curves(100, seed=8)
+    model_path = tmp_path / "model.npz"
+    save_model(train_meta(samples, MetaConfig(width=2, layers=1, epochs=1)), model_path)
+    assert main(["meta", "predict", "--model", str(model_path), "--curve", curve]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_meta_cli_insufficient_samples(tmp_path, capsys):

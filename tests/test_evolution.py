@@ -1,10 +1,11 @@
 import math
+from dataclasses import astuple
 
 import pytest
 
+from treecell import cli
 from treecell.evolution import (
     EvolutionConfig,
-    FitnessRecord,
     LineageLog,
     evaluate_generation,
     genome_key,
@@ -68,13 +69,13 @@ def test_evaluate_generation_caches_duplicates():
     population = [seed, seed, seed]
     records = {}
     evaluate_generation(population, counting_evaluator, records,
-                        "epoch10_baseline", 2)
+                        "epoch10_baseline")
     assert len(calls) == 1  # identical genomes share one training run
     key = genome_key(seed)
     assert records[key].fitness == 2.0  # last curve entry
     # already-cached genomes are never retrained
     evaluate_generation(population, counting_evaluator, records,
-                        "epoch10_baseline", 2)
+                        "epoch10_baseline")
     assert len(calls) == 1
 
 
@@ -90,7 +91,7 @@ def test_evaluate_generation_sends_a_lone_genome_to_the_pool():
 
     records = {}
     evaluate_generation([seed_tree()], outside_pool, records,
-                        "epoch10_baseline", 2, pool=WorkerPool())
+                        "epoch10_baseline", pool=WorkerPool())
     key = genome_key(seed_tree())
     assert records[key].fitness == toy_evaluator(key)[-1]
 
@@ -101,26 +102,68 @@ def test_divergent_training_gets_worst_fitness():
 
     records = {}
     evaluate_generation([seed_tree()], nan_evaluator, records,
-                        "epoch10_baseline", 1)
+                        "epoch10_baseline")
     rec = records[genome_key(seed_tree())]
     assert math.isinf(rec.fitness)
 
 
-def test_meta_mode_ranks_by_predicted_finals():
-    class StubPredictor:
-        def predict(self, curve):
-            # pretend the slow starter wins in the end
-            return 1.0 if curve[0] > 5 else 9.0
+class StubPredictor:
+    """Records every batch it is asked for; pretends slow starters win."""
 
-    fast_early = [2.0, 1.9]   # great at epoch 2, bad final per stub
-    slow_start = [9.0, 8.5]
-    records = {
-        "a": FitnessRecord("a", fast_early, fast_early[-1], "meta_predicted"),
-        "b": FitnessRecord("b", slow_start, slow_start[-1], "meta_predicted"),
-    }
-    from treecell.evolution import apply_meta_fitness
-    apply_meta_fitness(records, StubPredictor())
+    def __init__(self):
+        self.calls = []
+
+    def predict_batch(self, curves):
+        self.calls.append([list(c) for c in curves])
+        return [1.0 if c[0] > 5 else 9.0 for c in curves]
+
+
+def test_meta_mode_ranks_by_predicted_finals():
+    curves = {"b": [9.0, 8.5],              # slow start, good final per stub
+              "a": [2.0, 1.9],              # great at epoch 2, bad final
+              "c": [float("nan"), 1.0]}     # diverged: never predicted
+    stub = StubPredictor()
+    records = {}
+    evaluate_generation(None, curves.get, records, "meta_predicted",
+                        keys=["b", "a", "c", "b"], predictor=stub)
+    # one call, with only the pending finite curves, in sorted key order
+    assert stub.calls == [[curves["a"], curves["b"]]]
     assert records["b"].fitness < records["a"].fitness
+    assert records["a"].curve == curves["a"] and records["a"].mode == "meta_predicted"
+    assert math.isinf(records["c"].fitness)
+    # the same keys again: nothing is pending, so nothing is predicted
+    evaluate_generation(None, curves.get, records, "meta_predicted",
+                        keys=["a", "b", "c"], predictor=stub)
+    assert len(stub.calls) == 1
+
+
+def toy_curve10(text):
+    """A ten-epoch curve, the predictor's prefix length, from the toy metric."""
+    final = toy_evaluator(text)[-1]
+    return [final + 0.1 * (10 - i) + 0.01 * len(text) * (i % 3) for i in range(10)]
+
+
+def test_meta_mode_predicts_each_record_once_per_run():
+    stub = StubPredictor()
+    evaluated = []
+
+    def evaluator(text):
+        evaluated.append(text)
+        return toy_curve10(text)
+
+    config = small_config(generations=5, fitness_mode="meta_predicted",
+                          partial_epochs=10)
+    result = run(config, evaluator, predictor=stub)
+    assert len(evaluated) == len(set(evaluated)) == len(result.records)
+    assert 1 <= len(stub.calls) <= config.generations
+    start = 0
+    for batch in stub.calls:   # one batch per generation, in sorted key order
+        keys = evaluated[start:start + len(batch)]
+        assert keys == sorted(keys)
+        assert batch == [toy_curve10(k) for k in keys]
+        start += len(batch)
+    assert start == len(evaluated)
+    assert {r.fitness for r in result.records.values()} <= {1.0, 9.0}
 
 
 def test_reproduce_preserves_population_size_and_validity():
@@ -131,7 +174,7 @@ def test_reproduce_preserves_population_size_and_validity():
     speciate(dict(zip(keys, population)), state, 0)
     records = {}
     evaluate_generation(population, toy_evaluator, records,
-                        config.fitness_mode, 2, keys=keys)
+                        config.fitness_mode, keys=keys)
     nxt = reproduce(population, keys, records, state, config, 1)
     assert len(nxt) == config.population_size
     assert all(validate(g) == [] for g in nxt)
@@ -145,7 +188,7 @@ def test_reproduce_keeps_elite_unchanged():
     speciate(dict(zip(keys, population)), state, 0)
     records = {}
     evaluate_generation(population, toy_evaluator, records,
-                        config.fitness_mode, 2, keys=keys)
+                        config.fitness_mode, keys=keys)
     best_key = min((k for k in keys), key=lambda k: records[k].fitness)
     nxt = reproduce(population, keys, records, state, config, 1)
     assert best_key in {genome_key(g) for g in nxt}
@@ -242,3 +285,29 @@ def test_offspring_avoid_archived_regions():
     violations = sum(
         1 for g in result.population if result.speciation.violates_archive(g))
     assert violations == 0
+
+
+@pytest.mark.parametrize("seed", [14, 3, 5, 22])
+def test_resumed_run_reports_the_same_best_as_a_straight_run(seed, tmp_path):
+    """Stopped after generation 1 and resumed from its checkpoint, a run
+    writes the same history and returns the same best genome as a run
+    that was never stopped, including between genomes of equal fitness."""
+    config = small_config(generations=4, seed=seed)
+    history, blobs = [], []
+
+    def checkpoint(stats, population, spec_state, records):
+        history.append(stats)
+        blobs.append(cli._checkpoint_blob(stats.generation, population, spec_state,
+                                          records, history, 0))
+
+    run(small_config(generations=2, seed=seed), toy_evaluator, on_generation=checkpoint)
+    path = tmp_path / "checkpoint.json"
+    path.write_text(blobs[-1])
+    state, _ = cli._restore_checkpoint(path, config)
+    resumed = run(config, toy_evaluator, start_state=state)
+    straight = run(config, toy_evaluator)
+    assert [astuple(h) for h in resumed.history] == [astuple(h) for h in straight.history]
+    assert serialize(resumed.best_genome) == serialize(straight.best_genome)
+    assert resumed.best_fitness == straight.best_fitness
+    assert [serialize(g) for g in resumed.population] == \
+        [serialize(g) for g in straight.population]

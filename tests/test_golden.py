@@ -1,12 +1,13 @@
 """Golden SHA-256 digests of outputs that a refactor must leave unchanged.
 
-The digests pin three end-to-end paths at 64-bit precision: a smoke
-``evolve`` run (homogeneous networks), a small curve-predictor fit, and a
+The digests pin four end-to-end paths at 64-bit precision: a smoke
+``evolve`` run (homogeneous networks), a small curve-predictor fit, a
 two-network ``hetero`` sweep with two layers, two slots per layer and
-dropout on.  A fourth digest pins the tree layer and the genetic
-operators over a few hundred seeded random genomes.  A change that alters
-numerics or operator behaviour on purpose updates the digests and says
-why in CHANGES.md.
+dropout on, and a tiny ``evolve`` in ``meta_predicted`` mode, where a
+width-8 predictor sets every fitness.  Another digest pins the tree layer
+and the genetic operators over a few hundred seeded random genomes.  A
+change that alters numerics or operator behaviour on purpose updates the
+digests and says why in CHANGES.md.
 """
 
 import hashlib
@@ -21,7 +22,7 @@ from treecell.genetic import (crossover_homologous, mutate_insert, mutate_pipeli
                               mutate_replace, mutate_shrink, random_genome,
                               shared_region, tree_distance)
 from treecell.grammar import serialize
-from treecell.meta import MetaConfig, synthetic_curves, train_meta
+from treecell.meta import MetaConfig, save_model, synthetic_curves, train_meta
 from treecell.tree import canonical_text, canonicalize
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -36,6 +37,11 @@ META_PARAMS_DIGEST = "03e2bde0459c2de119acfbce18ce2c5fc1df331934eed8f6fabe4be89e
 META_PREDICTIONS_DIGEST = "b321ca8d902ace688c3e7a56c6a4ca9f0e1b41dcf53418bc8e70eae7fcdcc038"
 HETERO_CSV_DIGEST = "e4f2885e71da33f9d47993416126490cf6dd136c3ecace8fc36d8efa32230d63"
 OPERATOR_DIGEST = "88fbae81dc0003040868785ec69a6948cd3f3ad81c5ee767c1d420f041f275d3"
+META_EVOLVE_DIGESTS = {
+    "stats.csv": "ca88dc648df19827d068d2e20ea296c1c0aa1a3381ee087e90e41416e318fd06",
+    "lineage.log": "e46249ac91c0726e259d33838ae6cdc1c7e4ad28cbaecab5700b616f25256268",
+    "best.genome": "f1dd2c59789727b79dec63d7bd22609fd1cd5356c6367240551296e2415798bb",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -137,3 +143,59 @@ def test_operator_digest():
         partner, records = operator_records(seed, partner)
         h.update("\n".join(records).encode() + b"\n\n")
     assert h.hexdigest() == OPERATOR_DIGEST
+
+
+@pytest.fixture(scope="module")
+def meta_model_path(tmp_path_factory):
+    train_s, _ = synthetic_curves(120, seed=21)
+    cfg = MetaConfig(width=8, layers=2, epochs=4, batch_size=40, lr=0.01,
+                     patience=4, seed=3)
+    path = tmp_path_factory.mktemp("meta") / "meta.npz"
+    save_model(train_meta(train_s, cfg), path)
+    return path
+
+
+def evolve_meta(tmp_path, model_path, name, generations, workers=1, resume=False):
+    """A tiny ``meta_predicted`` evolve: 10 partial epochs of 3 steps each."""
+    cfg = ExperimentConfig(seed=13)
+    cfg.task.train_tokens = 600
+    cfg.task.valid_tokens = 200
+    cfg.task.test_tokens = 200
+    cfg.network.width = 8
+    cfg.network.embedding_dim = 6
+    cfg.evolution.population_size = 6
+    cfg.evolution.generations = generations
+    cfg.evolution.fitness_mode = "meta_predicted"
+    cfg.evolution.partial_epochs = 10
+    cfg.train.unroll_steps = 20
+    cfg.train.batch_size = 10
+    cfg.train.optimizer = "adam"
+    cfg.train.lr = 0.01
+    cfg.paths.meta_model = str(model_path)
+    config_path = tmp_path / f"{name}-{generations}.ini"
+    save_config(cfg, config_path)
+    out_dir = tmp_path / name
+    assert main(["evolve", "--config", str(config_path), "--out", str(out_dir),
+                 "--workers", str(workers), "--precision", "64"]
+                + (["--resume"] if resume else [])) == 0
+    return {f: (out_dir / f).read_bytes() for f in EVOLVE_FILES}
+
+
+@pytest.fixture(scope="module")
+def meta_outputs(tmp_path_factory, meta_model_path):
+    return evolve_meta(tmp_path_factory.mktemp("meta-evolve"), meta_model_path,
+                       "straight", generations=3)
+
+
+def test_meta_evolve_digests(meta_outputs):
+    assert {k: sha256(v) for k, v in meta_outputs.items()} == META_EVOLVE_DIGESTS
+
+
+def test_meta_evolve_two_workers_match_one(meta_outputs, meta_model_path, tmp_path):
+    assert evolve_meta(tmp_path, meta_model_path, "run", 3, workers=2) == meta_outputs
+
+
+def test_meta_evolve_interrupt_and_resume_matches_straight_run(meta_outputs,
+                                                              meta_model_path, tmp_path):
+    evolve_meta(tmp_path, meta_model_path, "split", 1)
+    assert evolve_meta(tmp_path, meta_model_path, "split", 3, resume=True) == meta_outputs

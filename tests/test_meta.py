@@ -104,7 +104,7 @@ def test_constant_family_learns_below_one_percent(constant_model):
 def test_constant_family_train_set_recall(constant_model):
     model, _ = constant_model
     sample = constant_family(150, seed=0)[7]
-    pred = model.predict(sample.prefix)
+    pred = model.predict_batch([sample.prefix])[0]
     assert abs(pred - sample.target) / sample.target < 0.01
 
 
@@ -113,8 +113,8 @@ def test_prediction_is_member_mean_and_positive(constant_model):
     prefix = np.full(10, 5.0)
     member_preds = [float(np.exp(m.forward(np.log(prefix)[None, :])[0, -1]))
                     for m in model.members]
-    assert model.predict(prefix) == pytest.approx(np.mean(member_preds))
-    assert model.predict(prefix) > 0
+    assert model.predict_batch([prefix])[0] == pytest.approx(np.mean(member_preds))
+    assert model.predict_batch([prefix])[0] > 0
     assert len(model.members) == 2
     assert {m.decoder_len for m in model.members} == {30, 1}
 
@@ -126,7 +126,7 @@ def test_same_seed_same_model():
     a = train_meta(samples, cfg)
     b = train_meta(samples, cfg)
     prefix = np.full(10, 6.0)
-    assert a.predict(prefix) == b.predict(prefix)
+    assert a.predict_batch([prefix])[0] == b.predict_batch([prefix])[0]
 
 
 def test_duplication_invariance_of_loss_and_gradients():
@@ -219,11 +219,12 @@ def test_untrained_and_bad_prefix_raise(constant_model):
 
     model, cfg = constant_model
     with pytest.raises(RuntimeError):
-        CurvePredictor(cfg).predict([1.0] * 10)
-    with pytest.raises(ValueError):
-        model.predict([1.0] * 9)
-    with pytest.raises(ValueError):
-        model.predict([-1.0] + [1.0] * 9)
+        CurvePredictor(cfg).predict_batch([[1.0] * 10])
+    for bad in ([[1.0] * 9], [1.0] * 10, [[1.0] * 10, [1.0] * 9],
+                [[-1.0] + [1.0] * 9], [[0.0] + [1.0] * 9],
+                [[1.0] * 10, [float("nan")] + [1.0] * 9], [[float("inf")] + [1.0] * 9]):
+        with pytest.raises(ValueError):
+            model.predict_batch(bad)
 
 
 def test_model_file_round_trip(tmp_path, constant_model):
@@ -232,7 +233,7 @@ def test_model_file_round_trip(tmp_path, constant_model):
     save_model(model, path)
     again = load_model(path)
     prefix = np.full(10, 4.0)
-    assert again.predict(prefix) == model.predict(prefix)
+    assert again.predict_batch([prefix])[0] == model.predict_batch([prefix])[0]
 
 
 def test_member_parameters_stay_views_after_restore_and_load(tmp_path):
@@ -280,7 +281,7 @@ def test_monotone_prefix_prediction_sanity_band(crossing_model):
                 if all(a >= b for a, b in zip(s.prefix, s.prefix[1:]))]
     if len(monotone) < 10:
         pytest.skip("too few strictly monotone prefixes in this draw")
-    ok = sum(1 for s in monotone if model.predict(s.prefix) <= s.prefix[0])
+    ok = sum(1 for s in monotone if model.predict_batch([s.prefix])[0] <= s.prefix[0])
     assert ok / len(monotone) >= 0.95
 
 
