@@ -15,7 +15,6 @@ from .tree import (
     build_tree,
     canonical_text,
     canonicalize,
-    has_memory_path,
     height,
     seed_tree,
     size,
@@ -46,8 +45,6 @@ from .speciation import (
     SpeciationConfig,
     SpeciationState,
     Species,
-    StagnationArchive,
-    in_archived_region,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

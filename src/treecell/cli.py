@@ -135,7 +135,7 @@ def cmd_evolve(args) -> int:
     if args.resume and checkpoint_path.exists():
         try:
             start_state, lineage_bytes = _restore_checkpoint(checkpoint_path, config.evolution)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             return _fail(f"corrupt checkpoint {checkpoint_path}: {exc}")
         if start_state[0] >= config.evolution.generations:
             best_fitness, best_key = evolution.best_of(start_state[3])
@@ -166,7 +166,7 @@ def cmd_evolve(args) -> int:
             if args.workers > 1:
                 pool = ProcessPoolExecutor(
                     max_workers=args.workers, initializer=_init_worker,
-                    initargs=(emit_config(config), config.evolution.partial_epochs))
+                    initargs=(emit_config(config),))
                 evaluator = _eval_in_worker
             else:
                 evaluator = ctx

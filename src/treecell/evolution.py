@@ -116,16 +116,13 @@ class LineageLog:
     (see :func:`replay_line`).
     """
 
-    def __init__(self, sink=None):
-        self.lines: list[str] = []
+    def __init__(self, sink):
         self.sink = sink
 
     def record(self, generation, key, op, parents, child) -> None:
         line = "\t".join([str(generation), str(key), op, "|".join(parents), child])
-        self.lines.append(line)
-        if self.sink is not None:
-            self.sink.write(line + "\n")
-            self.sink.flush()
+        self.sink.write(line + "\n")
+        self.sink.flush()
 
 
 def replay_line(line: str, config: EvolutionConfig) -> str:
@@ -412,15 +409,14 @@ def run(config: EvolutionConfig, evaluator, predictor=None,
         if on_generation is not None:
             on_generation(stats, population, spec_state, records)
 
-    best_fitness, best_key = best_of(records)
-    if not best_key:
-        # generations == 0, or nothing finite yet: evaluate the population
-        # the next generation would, and fall back to its first genome
-        keys = [genome_key(g) for g in population]
+    if not history:
+        # no generation ran: evaluate the initial population
         evaluate_generation(population, evaluator, records, config.fitness_mode,
-                            keys=keys, pool=pool, predictor=predictor)
-        best_fitness, best_key = best_of(records)
-        best_key = best_key or keys[0]
+                            pool=pool, predictor=predictor)
+    best_fitness, best_key = best_of(records)
+    # nothing finite: fall back to the final population's first genome,
+    # untrained, since no stats row or checkpoint would show its curve
+    best_key = best_key or genome_key(population[0])
 
     return RunResult(parse(best_key), best_fitness, history, population, records,
                      spec_state)

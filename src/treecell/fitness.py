@@ -8,6 +8,7 @@ Curves are lower-is-better (perplexity as-is, music as 1 - F1).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -24,7 +25,7 @@ from .data import (
 )
 from .grammar import parse
 from .network import NetworkSpec, build_network, homogeneous_spec
-from .training import TrainConfig, TrainingDiverged, train
+from .training import TrainingDiverged, train
 
 
 def stable_seed(*parts) -> int:
@@ -51,14 +52,16 @@ def build_task(config: ExperimentConfig) -> SequenceTask:
 
 
 class EvalContext:
-    """Holds the task and configs; maps genome text to a fitness curve."""
+    """Holds the task and configs; maps genome text to a fitness curve.
 
-    def __init__(self, config: ExperimentConfig, epochs: int | None = None):
+    The training budget comes from the config alone: ``train.epochs`` in
+    ``full_train`` mode, ``partial_epochs`` otherwise.
+    """
+
+    def __init__(self, config: ExperimentConfig):
         self.config = config
         self.task = build_task(config)
-        if epochs is not None:
-            self.epochs = epochs
-        elif config.evolution.fitness_mode == "full_train":
+        if config.evolution.fitness_mode == "full_train":
             self.epochs = config.train.epochs
         else:
             self.epochs = config.evolution.partial_epochs
@@ -84,13 +87,8 @@ class EvalContext:
             spec = NetworkSpec(layers, 0, io_dim=task.io_dim, head="sigmoid")
         network = build_network(spec, trees, np.random.Generator(np.random.PCG64(seed)),
                                 dtype=self.dtype)
-        cfg = TrainConfig(**{f: getattr(self.config.train, f)
-                             for f in ("unroll_steps", "batch_size", "optimizer",
-                                       "lr", "lr_decay", "decay_after_epoch",
-                                       "dropout_ff", "dropout_rec", "l2",
-                                       "grad_clip_norm")},
-                          epochs=epochs if epochs is not None else self.epochs,
-                          seed=seed)
+        cfg = dataclasses.replace(self.config.train, seed=seed,
+                                  epochs=epochs if epochs is not None else self.epochs)
         return train(network, task, cfg)
 
     def __call__(self, text: str):
@@ -107,10 +105,10 @@ class EvalContext:
 _WORKER_CTX: dict = {}
 
 
-def _init_worker(config_text: str, epochs) -> None:
+def _init_worker(config_text: str) -> None:
     from .config import parse_config
 
-    _WORKER_CTX["ctx"] = EvalContext(parse_config(config_text), epochs)
+    _WORKER_CTX["ctx"] = EvalContext(parse_config(config_text))
 
 
 def _eval_in_worker(text: str):

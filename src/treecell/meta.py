@@ -232,13 +232,11 @@ def _train_member(member: _Seq2Seq, train_x, train_y, val_x, val_y,
     member.params.flat[...] = best_params
 
 
-def train_meta(samples, config: MetaConfig = MetaConfig(),
-               val_samples=None) -> CurvePredictor:
+def train_meta(samples, config: MetaConfig = MetaConfig()) -> CurvePredictor:
     """Train the two-member ensemble on CurveSamples.
 
-    A validation subset (``val_fraction`` split, or ``val_samples`` when
-    given) decides when to stop; training is deterministic given the
-    config seed.
+    A ``val_fraction`` validation split decides when to stop; training is
+    deterministic given the config seed.
     """
     samples = list(samples)
     if len(samples) < config.min_samples:
@@ -248,15 +246,11 @@ def train_meta(samples, config: MetaConfig = MetaConfig(),
         if s.target <= 0:
             raise ValueError("targets must be positive")
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    if val_samples is None:
-        order = rng.permutation(len(samples))
-        n_val = max(1, int(len(samples) * config.val_fraction))
-        val_idx = set(order[:n_val].tolist())
-        train_set = [s for i, s in enumerate(samples) if i not in val_idx]
-        val_set = [s for i, s in enumerate(samples) if i in val_idx]
-    else:
-        train_set = samples
-        val_set = list(val_samples)
+    order = rng.permutation(len(samples))
+    n_val = max(1, int(len(samples) * config.val_fraction))
+    val_idx = set(order[:n_val].tolist())
+    train_set = [s for i, s in enumerate(samples) if i not in val_idx]
+    val_set = [s for i, s in enumerate(samples) if i in val_idx]
     tx = np.log(np.array([s.prefix for s in train_set], dtype=np.float64))
     ty = np.array([s.target for s in train_set], dtype=np.float64)
     vx = np.log(np.array([s.prefix for s in val_set], dtype=np.float64))

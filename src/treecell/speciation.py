@@ -41,27 +41,6 @@ class Species:
     created_generation: int = 0
 
 
-@dataclass
-class StagnationArchive:
-    """Representatives of archived species; entries only ever grow."""
-
-    entries: list[NodeTree] = field(default_factory=list)
-
-    def add(self, representative: NodeTree) -> None:
-        self.entries.append(representative)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def in_archived_region(genome: NodeTree, archive: StagnationArchive,
-                       threshold: float) -> bool:
-    """True iff the genome lies within threshold of any archived representative."""
-    return any(
-        tree_distance(genome, entry) < threshold
-        for entry in archive.entries)
-
-
 class SpeciationState:
     """Bookkeeping for all species plus the archive.
 
@@ -74,7 +53,7 @@ class SpeciationState:
     def __init__(self, config: SpeciationConfig):
         self.config = config
         self.species: list[Species] = []
-        self.archive = StagnationArchive()
+        self.archive: list[NodeTree] = []  # representatives of archived species
         self._next_id = 0
 
     # -- per-generation flow -------------------------------------------------
@@ -125,7 +104,7 @@ class SpeciationState:
                 if self.active_count() == 1 and not waiting:
                     continue
                 sp.state = ARCHIVED
-                self.archive.add(sp.representative)
+                self.archive.append(sp.representative)
                 if waiting:
                     oldest = min(waiting, key=lambda w: w.id)
                     oldest.state = ACTIVE
@@ -145,8 +124,10 @@ class SpeciationState:
         return out
 
     def violates_archive(self, genome: NodeTree) -> bool:
-        return in_archived_region(genome, self.archive,
-                                  self.config.compatibility_threshold)
+        """True iff the genome lies within the compatibility threshold of
+        any archived representative."""
+        threshold = self.config.compatibility_threshold
+        return any(tree_distance(genome, entry) < threshold for entry in self.archive)
 
     # -- checkpoint form ---------------------------------------------------------
 
@@ -165,7 +146,7 @@ class SpeciationState:
                 }
                 for sp in self.species
             ],
-            "archive": [serialize(t) for t in self.archive.entries],
+            "archive": [serialize(t) for t in self.archive],
         }
 
     @classmethod
@@ -182,7 +163,7 @@ class SpeciationState:
                 stagnation=item["stagnation"],
                 created_generation=item["created_generation"],
             ))
-        state.archive = StagnationArchive([parse(t) for t in data["archive"]])
+        state.archive = [parse(t) for t in data["archive"]]
         return state
 
 

@@ -28,7 +28,6 @@ class TrainConfig:
     l2: float = 1e-4
     grad_clip_norm: float = 10.0
     seed: int = 0
-    check_grad_norm: bool = False   # assert the post-clip norm every step
 
     def lr_at(self, epoch: int) -> float:
         """Learning rate for a 1-based epoch index."""
@@ -161,10 +160,6 @@ def clip_gradients(grads, max_norm: float) -> float:
             grads[k] *= scale
         return max_norm
     return norm
-
-
-def global_norm(grads) -> float:
-    return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
 
 
 # --- dropout masks ----------------------------------------------------------------
@@ -300,9 +295,6 @@ def train(network: Network, task: SequenceTask, config: TrainConfig,
                     if p.ndim >= 2:
                         grads[k] += config.l2 * p
             clip_gradients(grads, config.grad_clip_norm)
-            if config.check_grad_norm:
-                norm = global_norm(grads)
-                assert norm <= config.grad_clip_norm + 1e-9, norm
             optimizer.step(network.params, grads)
         try:
             with np.errstate(over="ignore", invalid="ignore"):

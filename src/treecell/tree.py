@@ -195,13 +195,6 @@ def size(tree: NodeTree) -> int:
     return len(tree.nodes)
 
 
-def has_memory_path(tree: NodeTree, node_id: int) -> bool:
-    """True iff the subtree at node_id contains a cprev or dprev leaf."""
-    if node_id not in tree.nodes:
-        raise KeyError(f"unknown node id {node_id}")
-    return tree.reaches_memory(node_id)
-
-
 def validate(tree: NodeTree) -> list[Violation]:
     """Check every genome rule; an empty list means the tree is valid.
 

@@ -7,7 +7,8 @@ run a compiled cell op by op, dispatching on the op name, as the reference
 for the generated straight-line kernels, and the ``step_major_*`` functions
 run networks and predictor members one time step at a time up the layer
 stack, as the reference for the layer-major sequence engine.
-``assert_views_of_flat`` checks a parameter set against its flat vector.
+``assert_views_of_flat`` checks a parameter set against its flat vector,
+and ``global_norm`` is the textbook global L2 norm of a gradient set.
 """
 
 import numpy as np
@@ -39,6 +40,11 @@ def assert_views_of_flat(params):
     params.flat[...] = np.arange(params.flat.size)
     entries = np.concatenate([p.ravel() for p in params.values()])
     assert np.array_equal(np.sort(entries), np.arange(params.flat.size))
+
+
+def global_norm(grads) -> float:
+    """sqrt of the sum of squares over every entry of every gradient."""
+    return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
 
 
 def closed_form_lstm(x_gates, c_prev):

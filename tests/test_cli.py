@@ -295,11 +295,42 @@ def test_full_train_fitness_mode_uses_full_epochs(tmp_path):
     assert len(curve) == 3  # full budget, not partial_epochs
 
 
+def test_full_train_evolve_two_workers_match_one(tmp_path):
+    """Workers train with the same budget as the in-process evaluator:
+    ``train.epochs`` in full_train mode, not ``partial_epochs``."""
+    cfg = tiny_config(tmp_path, **{"evolution.fitness_mode": "full_train",
+                                   "train.epochs": 2})
+    files = ("stats.csv", "checkpoint.json", "best.genome", "lineage.log")
+    outputs = []
+    for workers in (1, 2):
+        out_dir = tmp_path / f"workers-{workers}"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out_dir),
+                     "--workers", str(workers)]) == 0
+        outputs.append({f: (out_dir / f).read_bytes() for f in files})
+    assert outputs[0] == outputs[1]
+    records = json.loads(outputs[0]["checkpoint.json"])["records"]
+    assert {len(r["curve"]) for r in records.values()} == {2}
+
+
 def test_evolve_corrupt_checkpoint_is_clean_error(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     out_dir = tmp_path / "run"
     out_dir.mkdir()
     (out_dir / "checkpoint.json").write_text("{not json")
+    assert main(["evolve", "--config", str(cfg), "--out", str(out_dir),
+                 "--resume"]) == 1
+    assert "corrupt checkpoint" in capsys.readouterr().err
+
+
+def test_evolve_truncated_history_row_is_clean_error(tmp_path, capsys):
+    cfg = tiny_config(tmp_path)
+    out_dir = tmp_path / "run"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    path = out_dir / "checkpoint.json"
+    blob = json.loads(path.read_text())
+    blob["history"][0] = blob["history"][0][:-1]
+    path.write_text(json.dumps(blob))
+    capsys.readouterr()
     assert main(["evolve", "--config", str(cfg), "--out", str(out_dir),
                  "--resume"]) == 1
     assert "corrupt checkpoint" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import io
 import math
 from dataclasses import astuple
 
@@ -215,6 +216,21 @@ def test_run_zero_generations_evaluates_initial_population():
     assert validate(result.best_genome) == []
 
 
+def test_run_with_nothing_finite_trains_only_what_it_reports():
+    calls = []
+
+    def nan_evaluator(text):
+        calls.append(text)
+        return [float("nan")]
+
+    seen = []
+    result = run(small_config(generations=2), nan_evaluator,
+                 on_generation=lambda stats, pop, spec, records: seen.append(len(records)))
+    assert len(calls) == seen[-1] == len(result.records)
+    assert math.isinf(result.best_fitness)
+    assert genome_key(result.best_genome) == genome_key(result.population[0])
+
+
 def test_run_bit_reproducible():
     config = small_config(generations=4)
     a = run(config, toy_evaluator)
@@ -232,17 +248,18 @@ def test_run_requires_predictor_for_meta_mode():
 
 def test_lineage_replay_reproduces_genomes():
     config = small_config(generations=4)
-    lineage = LineageLog()
-    result = run(config, toy_evaluator, lineage=lineage)
-    assert lineage.lines, "lineage log is empty"
+    sink = io.StringIO()
+    result = run(config, toy_evaluator, lineage=LineageLog(sink))
+    lines = sink.getvalue().splitlines()
+    assert lines, "lineage log is empty"
     reproduced = 0
-    for line in lineage.lines:
+    for line in lines:
         child = line.split("\t")[4]
         assert replay_line(line, config) == child
         reproduced += 1
-    assert reproduced == len(lineage.lines)
+    assert reproduced == len(lines)
     # every final-population genome traces back through the log
-    logged_children = {line.split("\t")[4] for line in lineage.lines}
+    logged_children = {line.split("\t")[4] for line in lines}
     for g in result.population:
         assert serialize(g) in logged_children
 

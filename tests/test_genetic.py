@@ -203,7 +203,7 @@ def test_insert_tap_requires_memory_path():
     for _ in range(500):
         out = mutate_insert(base, rng, memory_tap_rate=1.0)
         for nid in out.preorder():
-            if out.nodes[nid].tap is not None and not T.has_memory_path(out, nid):
+            if out.nodes[nid].tap is not None and not out.reaches_memory(nid):
                 tagged_without_memory += 1
     assert tagged_without_memory == 0
 

@@ -24,7 +24,6 @@ from treecell.training import (
     clip_gradients,
     draw_masks,
     eval_perplexity,
-    global_norm,
     micro_f1,
     sigmoid_bce,
     softmax_ce,
@@ -34,6 +33,7 @@ from treecell.tree import build_tree, seed_tree, validate
 
 from oracles import (
     assert_views_of_flat,
+    global_norm,
     step_major_backward_chunk,
     step_major_forward_chunk,
 )
@@ -241,7 +241,7 @@ def test_training_deterministic_given_seed():
         net = build_network(spec, [lstm_reference_tree()], rng_for(7))
         config = TrainConfig(unroll_steps=10, batch_size=4, epochs=2,
                              optimizer="adam", lr=0.01, dropout_ff=0.1,
-                             dropout_rec=0.1, seed=11, check_grad_norm=True)
+                             dropout_rec=0.1, seed=11)
         curves.append(train(net, task, config).metrics)
     assert curves[0] == curves[1]  # bit-identical
 

@@ -11,8 +11,6 @@ from treecell.speciation import (
     WAITING,
     SpeciationConfig,
     SpeciationState,
-    StagnationArchive,
-    in_archived_region,
     speciate,
 )
 from treecell.tree import seed_tree
@@ -103,7 +101,7 @@ def test_stagnation_archives_after_exact_limit():
             assert _species(state, flat).state == ACTIVE, f"archived early at update {update}"
     assert _species(state, flat).state == ARCHIVED
     assert len(state.archive) == 1
-    assert serialize(state.archive.entries[0]) == serialize(genomes[0])
+    assert serialize(state.archive[0]) == serialize(genomes[0])
     assert _species(state, improving).state == ACTIVE
 
 
@@ -143,20 +141,21 @@ def test_last_active_species_survives_without_replacement():
 
 
 def test_archive_checks():
-    archive = StagnationArchive()
+    state = SpeciationState(SpeciationConfig(compatibility_threshold=0.3))
     t = seed_tree()
-    assert not in_archived_region(t, archive, 0.3)
-    archive.add(t)
-    assert in_archived_region(t, archive, 0.3)
+    assert not state.violates_archive(t)
+    state.archive.append(t)
+    assert state.violates_archive(t)
     # the 0.29 fixture sits inside the default threshold
     a = parse("(add x0 (tanh (sigmoid (add x1 (relu (tanh (sigmoid x2)))))))")
     b = parse(
         "(add (tanh x3) (sigmoid (relu (add x4 (tanh (sigmoid (relu (tanh "
         "(sigmoid (relu (tanh (sigmoid (relu x5)))))))))))))")
     assert tree_distance(a, b) == pytest.approx(0.29, abs=1e-12)
-    archive2 = StagnationArchive([a])
-    assert in_archived_region(b, archive2, 0.3)
-    assert not in_archived_region(b, archive2, 0.29)
+    state.archive[:] = [a]
+    assert state.violates_archive(b)
+    state.config.compatibility_threshold = 0.29
+    assert not state.violates_archive(b)
 
 
 def test_speciate_whole_population_partition():

@@ -13,7 +13,6 @@ from treecell.tree import (
     build_tree,
     canonical_text,
     canonicalize,
-    has_memory_path,
     height,
     seed_tree,
     size,
@@ -84,19 +83,19 @@ def test_structural_errors_raise():
 
 def test_has_memory_path():
     t = build_tree(("add", "x0", ("mul", "cprev", "x1")))
-    assert has_memory_path(t, t.root)
+    assert t.reaches_memory(t.root)
     x0 = next(n for n in t.preorder() if t.nodes[n].kind == "x0")
-    assert not has_memory_path(t, x0)
+    assert not t.reaches_memory(x0)
     c = next(n for n in t.preorder() if t.nodes[n].kind == "cprev")
-    assert has_memory_path(t, c)
+    assert t.reaches_memory(c)
     with pytest.raises(KeyError):
-        has_memory_path(t, 999)
+        t.reaches_memory(999)
 
 
 def test_memory_leaf_alone_has_memory_path():
     t = build_tree(("add", "cprev", "x0"))
     leaf = next(n for n in t.preorder() if t.nodes[n].kind == "cprev")
-    assert has_memory_path(t, leaf)
+    assert t.reaches_memory(leaf)
 
 
 def test_canonicalize_orders_commutative_children():
