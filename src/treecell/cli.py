@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -26,7 +25,6 @@ from .fitness import EvalContext, _eval_in_worker, _init_worker, stable_seed
 from .genetic import tree_distance
 from .grammar import parse, read_population, serialize
 from .network import heterogeneous_layer
-from .speciation import SpeciationState
 from .training import TrainingDiverged
 from .tree import validate as validate_tree
 
@@ -63,6 +61,18 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _read_genome(path):
+    """The genome in a text file; None, with the error printed, if the file
+    cannot be read or does not parse."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8").strip())
+    except OSError as exc:
+        _fail(str(exc))
+    except Exception as exc:
+        _fail(f"genome does not parse: {exc}")
+    return None
+
+
 def _load_experiment(args) -> ExperimentConfig:
     config = load_config(args.config)
     if getattr(args, "seed", None) is not None:
@@ -80,36 +90,6 @@ def _load_experiment(args) -> ExperimentConfig:
 
 # stats.csv columns and checkpoint history rows: GenerationStats' fields, in order
 STATS_HEADER = tuple(f.name for f in dataclasses.fields(evolution.GenerationStats))
-
-
-def _checkpoint_blob(generation, population, spec_state, records, history, lineage_bytes):
-    return json.dumps({
-        "version": 2,
-        "next_generation": generation + 1,
-        "lineage_bytes": lineage_bytes,
-        "population": [serialize(g) for g in population],
-        "speciation": spec_state.to_json(),
-        "records": {
-            k: {"curve": r.curve, "fitness": r.fitness, "mode": r.mode}
-            for k, r in records.items()
-        },
-        "history": [list(dataclasses.astuple(h)) for h in history],
-    }, allow_nan=True)
-
-
-def _restore_checkpoint(path, config):
-    blob = json.loads(Path(path).read_text(encoding="utf-8"))
-    if blob.get("version") != 2:
-        raise ValueError("unsupported checkpoint version")
-    population = [parse(t) for t in blob["population"]]
-    spec_state = SpeciationState.from_json(blob["speciation"], config.speciation)
-    records = {
-        k: evolution.FitnessRecord(k, r["curve"], r["fitness"], r["mode"])
-        for k, r in blob["records"].items()
-    }
-    history = [evolution.GenerationStats(*row) for row in blob["history"]]
-    state = (blob["next_generation"], population, spec_state, records, history)
-    return state, blob["lineage_bytes"]
 
 
 def cmd_evolve(args) -> int:
@@ -131,35 +111,31 @@ def cmd_evolve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "checkpoint.json"
 
-    start_state, lineage_bytes = None, 0
+    state, lineage_bytes = None, 0
     if args.resume and checkpoint_path.exists():
         try:
-            start_state, lineage_bytes = _restore_checkpoint(checkpoint_path, config.evolution)
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+            state, lineage_bytes = evolution.RunState.from_json(
+                checkpoint_path.read_text(encoding="utf-8"), config.evolution)
+        except (ValueError, KeyError, TypeError) as exc:
             return _fail(f"corrupt checkpoint {checkpoint_path}: {exc}")
-        if start_state[0] >= config.evolution.generations:
-            best_fitness, best_key = evolution.best_of(start_state[3])
-            print(f"run already finished; best fitness {best_fitness}")
-            print(best_key)
+        if state.next_generation >= config.evolution.generations:
+            print(f"run already finished; best fitness {state.best_fitness}")
+            print(serialize(state.best_genome))
             return 0
 
     lineage_path = out_dir / "lineage.log"
-    lineage_mode = "a" if start_state else "w"
-    history_rows = list(start_state[4]) if start_state else []
-
-    with open(lineage_path, lineage_mode, encoding="utf-8") as sink:
+    with open(lineage_path, "a" if state is not None else "w", encoding="utf-8") as sink:
         # drop lines a crash left behind after the checkpoint was written;
         # never pad a log that is already shorter
         sink.truncate(min(lineage_bytes, sink.tell()))
         lineage = evolution.LineageLog(sink)
+        if state is None:
+            state = evolution.RunState.start(config.evolution, lineage)
 
         def on_generation(stats, population, spec_state, records):
-            history_rows.append(stats)
             write_csv(out_dir / "stats.csv", STATS_HEADER,
-                      [dataclasses.astuple(h) for h in history_rows])
-            atomic_write(checkpoint_path,
-                         _checkpoint_blob(stats.generation, population,
-                                          spec_state, records, history_rows, sink.tell()))
+                      [dataclasses.astuple(h) for h in state.history])
+            atomic_write(checkpoint_path, state.to_json(sink.tell()))
 
         pool = None
         try:
@@ -170,17 +146,17 @@ def cmd_evolve(args) -> int:
                 evaluator = _eval_in_worker
             else:
                 evaluator = ctx
-            result = evolution.run(config.evolution, evaluator,
-                                   predictor=predictor, lineage=lineage,
-                                   on_generation=on_generation,
-                                   start_state=start_state, pool=pool)
+            evolution.run(config.evolution, evaluator, predictor=predictor,
+                          lineage=lineage, on_generation=on_generation,
+                          start_state=state, pool=pool)
         finally:
             if pool is not None:
                 pool.shutdown()
 
-    atomic_write(out_dir / "best.genome", serialize(result.best_genome) + "\n")
-    print(f"best fitness: {result.best_fitness}")
-    print(serialize(result.best_genome))
+    best = serialize(state.best_genome)
+    atomic_write(out_dir / "best.genome", best + "\n")
+    print(f"best fitness: {state.best_fitness}")
+    print(best)
     return 0
 
 
@@ -189,13 +165,9 @@ def cmd_evolve(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_experiment(args)
-    try:
-        genome_text = Path(args.genome).read_text(encoding="utf-8").strip()
-        genome = parse(genome_text)
-    except OSError as exc:
-        return _fail(str(exc))
-    except Exception as exc:
-        return _fail(f"genome does not parse: {exc}")
+    genome = _read_genome(args.genome)
+    if genome is None:
+        return 1
     report = validate_tree(genome)
     if report:
         for violation in report:
@@ -268,24 +240,18 @@ def cmd_hetero(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    try:
-        a = parse(Path(args.genome_a).read_text(encoding="utf-8").strip())
-        b = parse(Path(args.genome_b).read_text(encoding="utf-8").strip())
-    except OSError as exc:
-        return _fail(str(exc))
-    except Exception as exc:
-        return _fail(f"genome does not parse: {exc}")
+    a = _read_genome(args.genome_a)
+    b = None if a is None else _read_genome(args.genome_b)
+    if b is None:
+        return 1
     print(tree_distance(a, b))
     return 0
 
 
 def cmd_validate(args) -> int:
-    try:
-        genome = parse(Path(args.genome).read_text(encoding="utf-8").strip())
-    except OSError as exc:
-        return _fail(str(exc))
-    except Exception as exc:
-        return _fail(f"genome does not parse: {exc}")
+    genome = _read_genome(args.genome)
+    if genome is None:
+        return 1
     report = validate_tree(genome)
     if report:
         for violation in report:

@@ -14,7 +14,6 @@ from pathlib import Path
 
 from .evolution import EvolutionConfig
 from .meta import MetaConfig
-from .speciation import SpeciationConfig
 from .training import TrainConfig
 
 
@@ -51,7 +50,6 @@ class ExperimentConfig:
     task: TaskConfig = field(default_factory=TaskConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
-    speciation: SpeciationConfig = field(default_factory=SpeciationConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     meta: MetaConfig = field(default_factory=MetaConfig)
     paths: PathsConfig = field(default_factory=PathsConfig)
@@ -59,20 +57,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.precision not in (32, 64):
             raise ValueError("precision must be 32 or 64")
-        self.evolution.speciation = self.speciation
-
-
-_SECTIONS = {
-    "task": ("task", TaskConfig),
-    "network": ("network", NetworkConfig),
-    "evolution": ("evolution", EvolutionConfig),
-    "speciation": ("speciation", SpeciationConfig),
-    "train": ("train", TrainConfig),
-    "meta": ("meta", MetaConfig),
-    "paths": ("paths", PathsConfig),
-}
-
-_SKIP_FIELDS = {("evolution", "speciation")}  # nested; serialized as own section
 
 
 def _coerce(value: str, kind):
@@ -105,19 +89,39 @@ def _emit(value) -> str:
     return str(value)
 
 
+def _nested(cls) -> dict:
+    """Field name -> dataclass of each field that holds a nested config."""
+    return {f.name: f.default_factory for f in dataclasses.fields(cls)
+            if dataclasses.is_dataclass(f.default_factory)}
+
+
+def _emit_section(parser, section: str, obj) -> None:
+    """One section per dataclass, named after the field that holds it; a
+    nested dataclass follows its parent ([speciation] after [evolution])."""
+    nested = _nested(type(obj))
+    parser[section] = {f.name: _emit(getattr(obj, f.name))
+                       for f in dataclasses.fields(obj) if f.name not in nested}
+    for name in nested:
+        _emit_section(parser, name, getattr(obj, name))
+
+
+def _parse_section(parser, section: str, cls):
+    nested = _nested(cls)
+    known = {f.name: f for f in dataclasses.fields(cls) if f.name not in nested}
+    values = {}
+    if parser.has_section(section):
+        for key, raw in parser.items(section):
+            if key not in known:
+                raise ValueError(f"unknown option {key!r} in section [{section}]")
+            values[key] = _coerce(raw, _field_type(known[key]))
+    for name, sub in nested.items():
+        values[name] = _parse_section(parser, name, sub)
+    return cls(**values)
+
+
 def emit_config(config: ExperimentConfig) -> str:
     parser = configparser.ConfigParser()
-    parser["experiment"] = {
-        "seed": str(config.seed),
-        "precision": str(config.precision),
-    }
-    for section, (attr, cls) in _SECTIONS.items():
-        obj = getattr(config, attr)
-        parser[section] = {}
-        for f in dataclasses.fields(cls):
-            if (section, f.name) in _SKIP_FIELDS:
-                continue
-            parser[section][f.name] = _emit(getattr(obj, f.name))
+    _emit_section(parser, "experiment", config)
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()
@@ -126,23 +130,7 @@ def emit_config(config: ExperimentConfig) -> str:
 def parse_config(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     parser.read_string(text)
-    kwargs = {}
-    if parser.has_section("experiment"):
-        if parser.has_option("experiment", "seed"):
-            kwargs["seed"] = parser.getint("experiment", "seed")
-        if parser.has_option("experiment", "precision"):
-            kwargs["precision"] = parser.getint("experiment", "precision")
-    for section, (attr, cls) in _SECTIONS.items():
-        if not parser.has_section(section):
-            continue
-        values = {}
-        known = {f.name: f for f in dataclasses.fields(cls)}
-        for key, raw in parser.items(section):
-            if key not in known:
-                raise ValueError(f"unknown option {key!r} in section [{section}]")
-            values[key] = _coerce(raw, _field_type(known[key]))
-        kwargs[attr] = cls(**values)
-    return ExperimentConfig(**kwargs)
+    return _parse_section(parser, "experiment", ExperimentConfig)
 
 
 def load_config(path) -> ExperimentConfig:

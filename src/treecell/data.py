@@ -1,18 +1,20 @@
 """Task data: character corpora, piano-roll matrices, and synthetic streams.
 
 Every task reduces to aligned (input, target) streams per split.  Token
-tasks carry a vocabulary and train against a softmax head; the piano-roll
+tasks train against a softmax head over their integer ids; the piano-roll
 task feeds 88-wide binary frames to a sigmoid head, predicting the next
 frame, so a roll with T timesteps yields T-1 usable steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 PIANO_PITCHES = 88
+CHAR_FRACTIONS = (0.9, 0.05, 0.05)    # train, valid, test
+MUSIC_FRACTIONS = (0.6, 0.2, 0.2)
 
 
 @dataclass
@@ -27,7 +29,6 @@ class SequenceTask:
     splits: dict[str, tuple[np.ndarray, np.ndarray]]
     vocab_size: int = 0
     io_dim: int = 0
-    vocab: list[str] = field(default_factory=list)
 
     def split(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         if name not in self.splits or len(self.splits[name][0]) == 0:
@@ -35,33 +36,35 @@ class SequenceTask:
         return self.splits[name]
 
 
+def _contiguous_splits(stream: np.ndarray, fractions) -> dict:
+    """Cut one stream into train/valid/test runs, in order, and pair each
+    run's steps with their successors as (input, target)."""
+    n = len(stream)
+    bounds = (0, int(n * fractions[0]), int(n * (fractions[0] + fractions[1])), n)
+    splits = {}
+    for name, lo, hi in zip(("train", "valid", "test"), bounds, bounds[1:]):
+        chunk = stream[lo:hi]
+        splits[name] = (chunk[:-1], chunk[1:])
+    return splits
+
+
 # --- character language modeling -------------------------------------------
 
 
-def char_task_from_text(text: str, fractions=(0.9, 0.05, 0.05)) -> SequenceTask:
+def char_task_from_text(text: str) -> SequenceTask:
     """Character-level next-token prediction over one UTF-8 text."""
     if not text:
         raise ValueError("empty corpus text")
     vocab = sorted(set(text))
     stoi = {ch: i for i, ch in enumerate(vocab)}
     ids = np.array([stoi[ch] for ch in text], dtype=np.int64)
-    splits = {}
-    n = len(ids)
-    bounds = (0,
-              int(n * fractions[0]),
-              int(n * (fractions[0] + fractions[1])),
-              n)
-    for name, lo, hi in (("train", bounds[0], bounds[1]),
-                         ("valid", bounds[1], bounds[2]),
-                         ("test", bounds[2], bounds[3])):
-        chunk = ids[lo:hi]
-        splits[name] = (chunk[:-1], chunk[1:])
-    return SequenceTask("tokens", splits, vocab_size=len(vocab), vocab=vocab)
+    return SequenceTask("tokens", _contiguous_splits(ids, CHAR_FRACTIONS),
+                        vocab_size=len(vocab))
 
 
-def load_char_corpus(path, fractions=(0.9, 0.05, 0.05)) -> SequenceTask:
+def load_char_corpus(path) -> SequenceTask:
     with open(path, "r", encoding="utf-8") as fh:
-        return char_task_from_text(fh.read(), fractions)
+        return char_task_from_text(fh.read())
 
 
 def generate_babble_text(n_chars: int, seed: int = 0) -> str:
@@ -112,8 +115,7 @@ def delayed_copy_task(vocab_size: int = 8, delay: int = 4,
         stream = rng.integers(0, vocab_size, size=n, dtype=np.int64)
         target = np.roll(stream, delay)
         splits[name] = (stream, target)
-    vocab = [str(i) for i in range(vocab_size)]
-    return SequenceTask("tokens", splits, vocab_size=vocab_size, vocab=vocab)
+    return SequenceTask("tokens", splits, vocab_size=vocab_size)
 
 
 # --- piano rolls --------------------------------------------------------------
@@ -138,22 +140,14 @@ def load_pianoroll(path) -> np.ndarray:
     return roll
 
 
-def music_task_from_roll(roll: np.ndarray,
-                         fractions=(0.6, 0.2, 0.2)) -> SequenceTask:
+def music_task_from_roll(roll: np.ndarray) -> SequenceTask:
     """Next-frame prediction; splits are contiguous in time (60/20/20)."""
     roll = np.asarray(roll)
     if roll.shape[0] != PIANO_PITCHES:
         raise ValueError(f"expected {PIANO_PITCHES} pitch rows")
     frames = roll.T.astype(np.float64)  # (T, 88)
-    n = frames.shape[0]
-    bounds = (0, int(n * fractions[0]), int(n * (fractions[0] + fractions[1])), n)
-    splits = {}
-    for name, lo, hi in (("train", bounds[0], bounds[1]),
-                         ("valid", bounds[1], bounds[2]),
-                         ("test", bounds[2], bounds[3])):
-        chunk = frames[lo:hi]
-        splits[name] = (chunk[:-1], chunk[1:])
-    return SequenceTask("frames", splits, io_dim=PIANO_PITCHES)
+    return SequenceTask("frames", _contiguous_splits(frames, MUSIC_FRACTIONS),
+                        io_dim=PIANO_PITCHES)
 
 
 def generate_pianoroll(timesteps: int, seed: int = 0) -> np.ndarray:

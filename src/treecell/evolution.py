@@ -9,16 +9,17 @@ re-derive any genome from the seed tree.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .genetic import crossover_homologous, mutate_pipeline
 from .grammar import parse, serialize
 from .speciation import ACTIVE, SpeciationConfig, SpeciationState, speciate
-from .tree import NodeTree, canonical_text, seed_tree, with_generation
+from .tree import NodeTree, canonical_text, seed_tree, validate
 
 WORST_FITNESS = math.inf
 
@@ -70,14 +71,83 @@ class GenerationStats:
     best_genome: str
 
 
+CHECKPOINT_VERSION = 2
+
+
 @dataclass
-class RunResult:
-    best_genome: NodeTree
-    best_fitness: float
-    history: list[GenerationStats]
+class RunState:
+    """Everything a run carries from one generation to the next.
+
+    :func:`run` starts from one, advances it in place and returns it;
+    ``to_json`` and ``from_json`` are its checkpoint form.
+    """
+
+    next_generation: int
     population: list[NodeTree]
-    records: dict[str, FitnessRecord]
     speciation: SpeciationState
+    records: dict[str, FitnessRecord]
+    history: list[GenerationStats]
+
+    @classmethod
+    def start(cls, config: EvolutionConfig, lineage: LineageLog | None = None) -> "RunState":
+        """The seed population (its lineage lines recorded) and no species yet."""
+        return cls(0, init_population(config, lineage),
+                   SpeciationState(config.speciation), {}, [])
+
+    @property
+    def best_fitness(self) -> float:
+        return best_of(self.records)[0]
+
+    @property
+    def best_genome(self) -> NodeTree:
+        # nothing finite: the population's first genome, untrained, since no
+        # stats row or checkpoint would show its curve
+        return parse(best_of(self.records)[1] or genome_key(self.population[0]))
+
+    def to_json(self, lineage_bytes: int) -> str:
+        """The checkpoint text; ``lineage_bytes`` is the lineage log's length."""
+        return json.dumps({
+            "version": CHECKPOINT_VERSION,
+            "next_generation": self.next_generation,
+            "lineage_bytes": lineage_bytes,
+            "population": [serialize(g) for g in self.population],
+            "speciation": self.speciation.to_json(),
+            "records": {k: {name: value for name, value in vars(r).items() if name != "key"}
+                        for k, r in self.records.items()},
+            "history": [list(astuple(h)) for h in self.history],
+        }, allow_nan=True)
+
+    @classmethod
+    def from_json(cls, text: str, config: EvolutionConfig) -> tuple["RunState", int]:
+        """Inverse of ``to_json``: the state and the lineage length it recorded.
+
+        A malformed checkpoint raises ``ValueError``, ``KeyError`` or
+        ``TypeError``, as does any genome in it that breaks a rule.
+        """
+        blob = _object(json.loads(text), "checkpoint")
+        if blob.get("version") != CHECKPOINT_VERSION:
+            raise ValueError("unsupported checkpoint version")
+        for name in ("next_generation", "lineage_bytes"):
+            if not isinstance(blob[name], int):
+                raise ValueError(f"{name} is not an integer")
+        records ={k: FitnessRecord(k, **_object(r, f"record {k!r}"))
+                   for k, r in _object(blob["records"], "records").items()}
+        state = cls(blob["next_generation"], [parse(t) for t in blob["population"]],
+                    SpeciationState.from_json(_object(blob["speciation"], "speciation"),
+                                              config.speciation),
+                    records, [GenerationStats(*row) for row in blob["history"]])
+        for tree in (state.population + state.speciation.archive
+                     + [sp.representative for sp in state.speciation.species]):
+            report = validate(tree)
+            if report:
+                raise ValueError(f"genome {serialize(tree)} breaks a rule: {report[0]}")
+        return state, blob["lineage_bytes"]
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    return value
 
 
 def _rng(seed, generation, counter) -> np.random.Generator:
@@ -260,7 +330,7 @@ def reproduce(population, keys, records, spec_state: SpeciationState,
                            serialize(child_tree))
 
     for rep in (promoted_reps or []):
-        next_population.append(with_generation(rep, generation))
+        next_population.append(rep)
         record_op(0, "promote", [rep], rep)
 
     budget = max(config.population_size - len(next_population), 0)
@@ -272,7 +342,7 @@ def reproduce(population, keys, records, spec_state: SpeciationState,
             continue
         member_keys = [m for m in sp.members if m in rank_of]
         elite_tree = by_key[elites[sp.id]]
-        next_population.append(with_generation(elite_tree, generation))
+        next_population.append(elite_tree)
         record_op(0, "elite", [elite_tree], elite_tree)
         produced = 1
         while produced < n_spawn:
@@ -313,7 +383,6 @@ def reproduce(population, keys, records, spec_state: SpeciationState,
                         "offspring still inside an archived region after %d "
                         "re-mutations; accepting it", retries)
                     break
-            child = with_generation(child, generation)
             next_population.append(child)
             produced += 1
 
@@ -328,7 +397,7 @@ def reproduce(population, keys, records, spec_state: SpeciationState,
         child = mutate_pipeline(source, rng, config.insert_rate,
                                 config.shrink_rate, config.memory_tap_rate)
         record_op(key, "mutate", [source], child)
-        next_population.append(with_generation(child, generation))
+        next_population.append(child)
     return next_population[:config.population_size]
 
 
@@ -340,29 +409,24 @@ def _tournament(member_keys, records, rng, size) -> str:
 
 def run(config: EvolutionConfig, evaluator, predictor=None,
         lineage: LineageLog | None = None, on_generation=None,
-        start_state=None, pool=None) -> RunResult:
+        start_state: RunState | None = None, pool=None) -> RunState:
     """Execute the full evolutionary run.
 
     ``evaluator`` maps genome text to a partial-training metric curve;
     ``predictor`` extrapolates curves to final fitness when the config's
     fitness mode asks for it.  ``on_generation`` receives
     (stats, population, spec_state, records) after each generation, which
-    is where checkpointing hooks in.  ``start_state`` resumes a run from a
-    checkpoint tuple (generation, population, spec_state, records, history).
+    is where checkpointing hooks in.  The run advances ``start_state`` (a
+    fresh :meth:`RunState.start` when None) in place and returns it.
     """
     if config.fitness_mode == "meta_predicted" and predictor is None:
         raise ValueError("meta_predicted fitness requires a trained predictor")
-    if start_state is None:
-        population = init_population(config, lineage)
-        spec_state = SpeciationState(config.speciation)
-        records: dict[str, FitnessRecord] = {}
-        start_gen = 0
-        history: list[GenerationStats] = []
-    else:
-        start_gen, population, spec_state, records, history = start_state
+    state = start_state if start_state is not None else RunState.start(config, lineage)
+    spec_state, records = state.speciation, state.records
 
     promoted_reps = []
-    for gen in range(start_gen, config.generations):
+    for gen in range(state.next_generation, config.generations):
+        population = state.population
         keys = [genome_key(g) for g in population]
         assignment = speciate(dict(zip(keys, population)), spec_state, gen)
         active_ids = {sp.id for sp in spec_state.species if sp.state == ACTIVE}
@@ -400,23 +464,18 @@ def run(config: EvolutionConfig, evaluator, predictor=None,
             archive_size=len(spec_state.archive),
             best_genome=best_key,
         )
-        history.append(stats)
+        state.history.append(stats)
         # reproduce even at the final generation: the callback then always
         # sees the population the next generation would evaluate, so a
         # checkpoint written here resumes (or extends) a run bit-exactly
-        population = reproduce(population, keys, records, spec_state, config,
-                               gen + 1, lineage, promoted_reps)
+        state.population = reproduce(population, keys, records, spec_state, config,
+                                     gen + 1, lineage, promoted_reps)
+        state.next_generation = gen + 1
         if on_generation is not None:
-            on_generation(stats, population, spec_state, records)
+            on_generation(stats, state.population, spec_state, records)
 
-    if not history:
+    if not state.history:
         # no generation ran: evaluate the initial population
-        evaluate_generation(population, evaluator, records, config.fitness_mode,
+        evaluate_generation(state.population, evaluator, records, config.fitness_mode,
                             pool=pool, predictor=predictor)
-    best_fitness, best_key = best_of(records)
-    # nothing finite: fall back to the final population's first genome,
-    # untrained, since no stats row or checkpoint would show its curve
-    best_key = best_key or genome_key(population[0])
-
-    return RunResult(parse(best_key), best_fitness, history, population, records,
-                     spec_state)
+    return state

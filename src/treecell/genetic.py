@@ -46,7 +46,7 @@ def rotate_by_shape(tree: NodeTree) -> NodeTree:
     rotated tree computes the same values; mirror-image trees rotate to the
     same shape and therefore align position by position during matching.
     """
-    return T.expr_to_tree(T.sort_commutative(tree, T.shape_label)[0], tree.generation_born)
+    return T.expr_to_tree(T.sort_commutative(tree, T.shape_label)[0])
 
 
 def shared_region(ta: NodeTree, tb: NodeTree) -> SharedRegion:
@@ -116,7 +116,7 @@ def _finish(tree: NodeTree, target: int, replacement, budget: Counter) -> NodeTr
         node = tree.nodes[nid]
         return (node.kind, node.tap, tuple(walk(c) for c in node.children))
 
-    candidate = T.strip_invalid_taps(T.expr_to_tree(walk(tree.root), tree.generation_born))
+    candidate = T.strip_invalid_taps(T.expr_to_tree(walk(tree.root)))
     counts = Counter(v.rule for v in T.validate(candidate))
     if counts - budget:
         return None

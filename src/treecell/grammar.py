@@ -62,7 +62,7 @@ def serialize(tree: NodeTree) -> str:
     return node_text(tree, tree.root)
 
 
-def parse(text: str, generation_born: int = 0) -> NodeTree:
+def parse(text: str) -> NodeTree:
     """Parse genome text; raises :class:`ParseError` at the first defect.
 
     Parsing checks only the grammar (names, arities, bracketing); rule
@@ -119,7 +119,7 @@ def parse(text: str, generation_born: int = 0) -> NodeTree:
     trailing = peek()
     if trailing is not None:
         raise ParseError(f"trailing input {trailing.text!r}", trailing.line, trailing.column)
-    return expr_to_tree(expr, generation_born)
+    return expr_to_tree(expr)
 
 
 def read_population(path) -> list[NodeTree]:

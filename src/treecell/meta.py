@@ -201,7 +201,7 @@ def _train_member(member: _Seq2Seq, train_x, train_y, val_x, val_y,
     best_params = member.params.flat.copy()
     since_best = 0
     n = train_x.shape[0]
-    batch = n if config.batch_size in (0, None) else min(config.batch_size, n)
+    batch = n if config.batch_size == 0 else min(config.batch_size, n)
     for _ in range(config.epochs):
         order = rng.permutation(n) if batch < n else np.arange(n)
         for start in range(0, n, batch):

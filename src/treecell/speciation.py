@@ -12,7 +12,7 @@ without a separate objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .genetic import tree_distance
 from .grammar import parse, serialize
@@ -134,35 +134,25 @@ class SpeciationState:
     def to_json(self) -> dict:
         return {
             "next_id": self._next_id,
-            "species": [
-                {
-                    "id": sp.id,
-                    "representative": serialize(sp.representative),
-                    "state": sp.state,
-                    "members": list(sp.members),
-                    "best_fitness": sp.best_fitness,
-                    "stagnation": sp.stagnation,
-                    "created_generation": sp.created_generation,
-                }
-                for sp in self.species
-            ],
+            "species": [{**vars(sp), "representative": serialize(sp.representative)}
+                        for sp in self.species],
             "archive": [serialize(t) for t in self.archive],
         }
 
     @classmethod
     def from_json(cls, data: dict, config: SpeciationConfig) -> "SpeciationState":
+        """Inverse of ``to_json``.  A species entry must be an object with
+        exactly the :class:`Species` fields; any other key is a ``TypeError``."""
+        names = {f.name for f in fields(Species)}
         state = cls(config)
         state._next_id = data["next_id"]
         for item in data["species"]:
-            state.species.append(Species(
-                id=item["id"],
-                representative=parse(item["representative"]),
-                state=item["state"],
-                members=list(item["members"]),
-                best_fitness=item["best_fitness"],
-                stagnation=item["stagnation"],
-                created_generation=item["created_generation"],
-            ))
+            if not isinstance(item, dict):
+                raise ValueError(f"species entry {item!r} is not a JSON object")
+            if item.keys() != names:
+                raise TypeError(f"species entry keys {sorted(item)} are not {sorted(names)}")
+            state.species.append(
+                Species(**{**item, "representative": parse(item["representative"])}))
         state.archive = [parse(t) for t in data["archive"]]
         return state
 

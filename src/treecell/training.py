@@ -235,11 +235,11 @@ def micro_f1(predictions: np.ndarray, targets: np.ndarray) -> float:
 
 
 def eval_f1(network: Network, inputs, targets, batch_size: int = 20,
-            unroll: int = 35, threshold: float = 0.5) -> float:
-    """Micro F1 of thresholded sigmoid outputs over the split."""
+            unroll: int = 35) -> float:
+    """Micro F1 of sigmoid outputs thresholded at 0.5 over the split."""
     pred, targ = [], []
     for logits, yc in _stream_logits(network, inputs, targets, batch_size, unroll):
-        pred.append((1.0 / (1.0 + np.exp(-np.clip(logits, -500, 500))) >= threshold).ravel())
+        pred.append((1.0 / (1.0 + np.exp(-np.clip(logits, -500, 500))) >= 0.5).ravel())
         targ.append((yc >= 0.5).ravel())
     if not pred:
         raise ValueError("empty split")
@@ -249,8 +249,7 @@ def eval_f1(network: Network, inputs, targets, batch_size: int = 20,
 # --- the training loop ------------------------------------------------------------
 
 
-def train(network: Network, task: SequenceTask, config: TrainConfig,
-          eval_split: str = "valid", log=None) -> TrainingCurve:
+def train(network: Network, task: SequenceTask, config: TrainConfig) -> TrainingCurve:
     """Train with truncated BPTT and report the validation metric per epoch.
 
     The final hidden states of each minibatch chunk seed the next chunk;
@@ -259,7 +258,7 @@ def train(network: Network, task: SequenceTask, config: TrainConfig,
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     x, y = make_streams(*task.split("train"), config.batch_size)
-    vx, vy = task.split(eval_split)
+    vx, vy = task.split("valid")
     optimizer = make_optimizer(config)
     is_tokens = task.kind == "tokens"
     curve = TrainingCurve("perplexity" if is_tokens else "f1")
@@ -310,6 +309,4 @@ def train(network: Network, task: SequenceTask, config: TrainConfig,
             raise TrainingDiverged(epoch, -1)
         curve.metrics.append(metric)
         curve.seconds.append(time.perf_counter() - started)
-        if log is not None:
-            log(epoch, metric)
     return curve

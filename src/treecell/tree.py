@@ -84,13 +84,11 @@ class NodeTree:
     :func:`validate`.  All operations over trees are pure.
     """
 
-    __slots__ = ("root", "nodes", "generation_born", "_order", "_depths", "_heights",
-                 "_memory", "_report")
+    __slots__ = ("root", "nodes", "_order", "_depths", "_heights", "_memory", "_report")
 
-    def __init__(self, root: int, nodes: dict[int, TreeNode], generation_born: int = 0):
+    def __init__(self, root: int, nodes: dict[int, TreeNode]):
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "nodes", dict(nodes))
-        object.__setattr__(self, "generation_born", generation_born)
         object.__setattr__(self, "_order", None)
         object.__setattr__(self, "_depths", None)
         object.__setattr__(self, "_heights", None)
@@ -244,7 +242,7 @@ def tree_to_expr(tree: NodeTree, node_id: Optional[int] = None) -> Expr:
     return (node.kind, node.tap, tuple(tree_to_expr(tree, c) for c in node.children))
 
 
-def expr_to_tree(expr: Expr, generation_born: int = 0) -> NodeTree:
+def expr_to_tree(expr: Expr) -> NodeTree:
     nodes: dict[int, TreeNode] = {}
     counter = [0]
 
@@ -257,10 +255,10 @@ def expr_to_tree(expr: Expr, generation_born: int = 0) -> NodeTree:
         return nid
 
     root = build(expr)
-    return NodeTree(root, nodes, generation_born)
+    return NodeTree(root, nodes)
 
 
-def build_tree(spec, generation_born: int = 0) -> NodeTree:
+def build_tree(spec) -> NodeTree:
     """Build a tree from nested tuples, e.g. ("tanh", ("add", "x0", "x1")).
 
     A kind may carry a tap suffix, e.g. "add@c".
@@ -273,7 +271,7 @@ def build_tree(spec, generation_born: int = 0) -> NodeTree:
         kind, tap = _split_tap(s[0])
         return (kind, tap, tuple(to_expr(c) for c in s[1:]))
 
-    return expr_to_tree(to_expr(spec), generation_born)
+    return expr_to_tree(to_expr(spec))
 
 
 def _split_tap(token: str) -> tuple[str, Optional[str]]:
@@ -314,13 +312,7 @@ def strip_invalid_taps(tree: NodeTree) -> NodeTree:
             nodes[nid] = node
     if not changed:
         return tree
-    return NodeTree(tree.root, nodes, tree.generation_born)
-
-
-def with_generation(tree: NodeTree, generation: int) -> NodeTree:
-    if tree.generation_born == generation:
-        return tree
-    return NodeTree(tree.root, tree.nodes, generation)
+    return NodeTree(tree.root, nodes)
 
 
 def sort_commutative(tree: NodeTree,
@@ -352,7 +344,7 @@ def canonicalize(tree: NodeTree) -> NodeTree:
     The result is isomorphic under child swaps to the input, idempotent,
     and identical for mirror-image trees.
     """
-    return expr_to_tree(sort_commutative(tree, text_label)[0], tree.generation_born)
+    return expr_to_tree(sort_commutative(tree, text_label)[0])
 
 
 def canonical_text(tree: NodeTree) -> str:

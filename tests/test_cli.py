@@ -322,6 +322,64 @@ def test_evolve_corrupt_checkpoint_is_clean_error(tmp_path, capsys):
     assert "corrupt checkpoint" in capsys.readouterr().err
 
 
+def resume_edited_checkpoint(tmp_path, capsys, edit):
+    """Exit code and stderr of resuming a 2-generation run from the
+    checkpoint its first generation wrote, rewritten by ``edit``."""
+    first = tmp_path / "first"
+    first.mkdir()
+    out_dir = tmp_path / "run"
+    assert main(["evolve", "--config", str(tiny_config(first, **{"evolution.generations": 1})),
+                 "--out", str(out_dir)]) == 0
+    path = out_dir / "checkpoint.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    code = main(["evolve", "--config", str(tiny_config(tmp_path)), "--out", str(out_dir),
+                 "--resume"])
+    return code, capsys.readouterr().err
+
+
+def test_evolve_checkpoint_that_is_not_an_object_is_clean_error(tmp_path, capsys):
+    code, err = resume_edited_checkpoint(tmp_path, capsys, lambda blob: [1, 2])
+    assert code == 1 and "corrupt checkpoint" in err
+
+
+def test_evolve_checkpoint_records_not_an_object_is_clean_error(tmp_path, capsys):
+    code, err = resume_edited_checkpoint(tmp_path, capsys,
+                                         lambda blob: {**blob, "records": []})
+    assert code == 1 and "corrupt checkpoint" in err
+
+
+@pytest.mark.parametrize("name", ["next_generation", "lineage_bytes"])
+def test_evolve_checkpoint_counter_not_an_integer_is_clean_error(tmp_path, capsys, name):
+    code, err = resume_edited_checkpoint(tmp_path, capsys,
+                                         lambda blob: {**blob, name: str(blob[name])})
+    assert code == 1 and "corrupt checkpoint" in err
+
+
+@pytest.mark.parametrize("where", ["population", "representative", "archive"])
+def test_evolve_checkpoint_genome_breaking_a_rule_is_clean_error(tmp_path, capsys, where):
+    def edit(blob):
+        if where == "population":
+            blob["population"] = ["x0", "x1", "x2", "x3"]
+        elif where == "representative":
+            blob["speciation"]["species"][0]["representative"] = "(tanh x0)"
+        else:
+            blob["speciation"]["archive"].append("x0")
+        return blob
+
+    code, err = resume_edited_checkpoint(tmp_path, capsys, edit)
+    assert code == 1 and "corrupt checkpoint" in err and "breaks a rule" in err
+
+
+def test_evolve_checkpoint_unknown_species_key_is_clean_error(tmp_path, capsys):
+    def edit(blob):
+        blob["speciation"]["species"][0]["colour"] = "red"
+        return blob
+
+    code, err = resume_edited_checkpoint(tmp_path, capsys, edit)
+    assert code == 1 and "corrupt checkpoint" in err
+
+
 def test_evolve_truncated_history_row_is_clean_error(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     out_dir = tmp_path / "run"

@@ -7,6 +7,7 @@ from treecell.config import (
     parse_config,
     save_config,
 )
+from treecell.speciation import SpeciationConfig
 
 
 def test_default_config_round_trips():
@@ -40,6 +41,14 @@ def test_precision_validated():
 def test_speciation_section_feeds_evolution():
     cfg = parse_config("[speciation]\ncompatibility_threshold = 0.5\n")
     assert cfg.evolution.speciation.compatibility_threshold == 0.5
+
+
+def test_rebound_speciation_config_round_trips():
+    cfg = ExperimentConfig()
+    cfg.evolution.speciation = SpeciationConfig(max_active=3)
+    again = parse_config(emit_config(cfg))
+    assert again.evolution.speciation.max_active == 3
+    assert again == cfg
 
 
 def test_bundled_configs_parse():

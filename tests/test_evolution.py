@@ -4,10 +4,10 @@ from dataclasses import astuple
 
 import pytest
 
-from treecell import cli
 from treecell.evolution import (
     EvolutionConfig,
     LineageLog,
+    RunState,
     evaluate_generation,
     genome_key,
     init_population,
@@ -314,13 +314,13 @@ def test_resumed_run_reports_the_same_best_as_a_straight_run(seed, tmp_path):
 
     def checkpoint(stats, population, spec_state, records):
         history.append(stats)
-        blobs.append(cli._checkpoint_blob(stats.generation, population, spec_state,
-                                          records, history, 0))
+        blobs.append(RunState(stats.generation + 1, population, spec_state,
+                              records, history).to_json(0))
 
     run(small_config(generations=2, seed=seed), toy_evaluator, on_generation=checkpoint)
     path = tmp_path / "checkpoint.json"
     path.write_text(blobs[-1])
-    state, _ = cli._restore_checkpoint(path, config)
+    state, _ = RunState.from_json(path.read_text(), config)
     resumed = run(config, toy_evaluator, start_state=state)
     straight = run(config, toy_evaluator)
     assert [astuple(h) for h in resumed.history] == [astuple(h) for h in straight.history]
@@ -328,3 +328,11 @@ def test_resumed_run_reports_the_same_best_as_a_straight_run(seed, tmp_path):
     assert resumed.best_fitness == straight.best_fitness
     assert [serialize(g) for g in resumed.population] == \
         [serialize(g) for g in straight.population]
+
+
+def test_run_advances_the_state_it_is_given():
+    config = small_config(generations=2)
+    state = RunState.start(config)
+    assert run(config, toy_evaluator, start_state=state) is state
+    assert state.next_generation == 2
+    assert [h.generation for h in state.history] == [0, 1]

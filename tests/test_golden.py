@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from treecell.cli import main
-from treecell.config import ExperimentConfig, save_config
+from treecell.config import ExperimentConfig, load_config, save_config
+from treecell.evolution import RunState
 from treecell.genetic import (crossover_homologous, mutate_insert, mutate_pipeline,
                               mutate_replace, mutate_shrink, random_genome,
                               shared_region, tree_distance)
@@ -56,8 +57,15 @@ def evolve_smoke(out_dir, workers: int):
 
 
 @pytest.fixture(scope="module")
-def smoke_outputs(tmp_path_factory):
-    return evolve_smoke(tmp_path_factory.mktemp("smoke") / "run", workers=1)
+def smoke_dir(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("smoke") / "run"
+    evolve_smoke(out_dir, workers=1)
+    return out_dir
+
+
+@pytest.fixture(scope="module")
+def smoke_outputs(smoke_dir):
+    return {name: (smoke_dir / name).read_bytes() for name in EVOLVE_FILES}
 
 
 def test_smoke_evolve_digests(smoke_outputs):
@@ -182,9 +190,15 @@ def evolve_meta(tmp_path, model_path, name, generations, workers=1, resume=False
 
 
 @pytest.fixture(scope="module")
-def meta_outputs(tmp_path_factory, meta_model_path):
-    return evolve_meta(tmp_path_factory.mktemp("meta-evolve"), meta_model_path,
-                       "straight", generations=3)
+def meta_dir(tmp_path_factory, meta_model_path):
+    tmp_path = tmp_path_factory.mktemp("meta-evolve")
+    evolve_meta(tmp_path, meta_model_path, "straight", generations=3)
+    return tmp_path / "straight"
+
+
+@pytest.fixture(scope="module")
+def meta_outputs(meta_dir):
+    return {name: (meta_dir / name).read_bytes() for name in EVOLVE_FILES}
 
 
 def test_meta_evolve_digests(meta_outputs):
@@ -199,3 +213,16 @@ def test_meta_evolve_interrupt_and_resume_matches_straight_run(meta_outputs,
                                                               meta_model_path, tmp_path):
     evolve_meta(tmp_path, meta_model_path, "split", 1)
     assert evolve_meta(tmp_path, meta_model_path, "split", 3, resume=True) == meta_outputs
+
+
+@pytest.mark.parametrize("run", ["smoke", "meta"])
+def test_checkpoint_round_trips_byte_for_byte(run, request):
+    """Restoring a checkpoint and writing it again gives the same text, and
+    the lineage length it records is the log's."""
+    out_dir = request.getfixturevalue(f"{run}_dir")
+    config_path = (CONFIG_DIR / "smoke.ini" if run == "smoke"
+                   else out_dir.parent / "straight-3.ini")
+    text = (out_dir / "checkpoint.json").read_text(encoding="utf-8")
+    state, lineage_bytes = RunState.from_json(text, load_config(config_path).evolution)
+    assert lineage_bytes == (out_dir / "lineage.log").stat().st_size
+    assert state.to_json(lineage_bytes) == text
