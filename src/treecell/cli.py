@@ -223,8 +223,7 @@ def cmd_hetero(args) -> int:
         try:
             curve = ctx.train_layers(layers, trees, stable_seed(config.seed, i, *chosen),
                                      epochs=config.evolution.partial_epochs)
-            fitness = (1.0 - curve.final() if curve.metric_name == "f1"
-                       else curve.final())
+            fitness = curve.lower_is_better()[-1]
         except TrainingDiverged:
             fitness = math.inf
         results.append((fitness, [serialize(t) for t in trees]))
@@ -265,9 +264,7 @@ def cmd_meta(args) -> int:
     if args.action == "train":
         try:
             samples = meta.load_samples_csv(args.dataset)
-        except OSError as exc:
-            return _fail(str(exc))
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             return _fail(str(exc))
         cfg = meta.MetaConfig()
         if args.config:

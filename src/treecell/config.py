@@ -64,26 +64,19 @@ def _coerce(value: str, kind):
         return int(value)
     if kind is float:
         return float(value)
-    if kind is bool:
-        return value.strip().lower() in ("1", "true", "yes", "on")
     if kind is tuple:
         return tuple(int(v) for v in value.split(",") if v.strip())
     return value
 
 
 def _field_type(f):
-    # resolve simple builtin annotations, including string annotations
-    mapping = {"int": int, "float": float, "bool": bool, "str": str, "tuple": tuple}
-    if isinstance(f.type, str):
-        return mapping.get(f.type, str)
-    return f.type if f.type in (int, float, bool, str, tuple) else str
+    # every config module postpones annotations, so each type is a string
+    return {"int": int, "float": float, "tuple": tuple}.get(f.type, str)
 
 
 def _emit(value) -> str:
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)

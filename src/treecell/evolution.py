@@ -9,6 +9,7 @@ re-derive any genome from the seed tree.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -156,6 +157,7 @@ def _rng(seed, generation, counter) -> np.random.Generator:
 
 
 INIT_KEY_BASE = 1_000_000  # rng-key namespace for initial-population mutations
+OFFSPRING_STRIDE = 64  # rng keys per offspring: selection, crossover, each mutation
 
 
 def init_population(config: EvolutionConfig,
@@ -270,13 +272,6 @@ def best_of(records) -> tuple[float, str]:
 def _spawn_allocation(species_scores, population_size) -> dict[int, int]:
     """Spawn counts proportional to score, summing exactly to the target."""
     total = sum(species_scores.values())
-    if total <= 0:
-        even = {sid: population_size // len(species_scores)
-                for sid in species_scores}
-        remainder = population_size - sum(even.values())
-        for sid in sorted(species_scores)[:remainder]:
-            even[sid] += 1
-        return even
     raw = {sid: population_size * score / total
            for sid, score in species_scores.items()}
     alloc = {sid: int(r) for sid, r in raw.items()}
@@ -301,6 +296,7 @@ def reproduce(population, keys, records, spec_state: SpeciationState,
     best member survives unchanged, and representatives of freshly
     promoted species join the population.
     """
+    promoted_reps = promoted_reps or []
     by_key = {}
     for g, k in zip(population, keys):
         by_key.setdefault(k, g)
@@ -308,20 +304,13 @@ def reproduce(population, keys, records, spec_state: SpeciationState,
                     key=lambda k: (records[k].fitness, k))
     rank_of = {k: i + 1 for i, k in enumerate(ranked)}
 
-    active = [sp for sp in spec_state.species
-              if sp.state == ACTIVE and any(m in rank_of for m in sp.members)]
-    if not active and not promoted_reps:
+    members = {sp.id: [m for m in sp.members if m in rank_of]
+               for sp in spec_state.species if sp.state == ACTIVE}
+    members = {sid: ms for sid, ms in members.items() if ms}
+    if not members and not promoted_reps:
         raise RuntimeError("no active species with evaluated members")
-    scores = {}
-    elites = {}
-    for sp in active:
-        member_keys = [m for m in sp.members if m in rank_of]
-        scores[sp.id] = float(np.mean([1.0 / rank_of[m] for m in member_keys]))
-        elites[sp.id] = min(member_keys, key=lambda k: records[k].fitness)
-
-    next_population: list[NodeTree] = []
-    offspring_index = [0]
-    OFFSPRING_STRIDE = 64  # rng-key slots per offspring: selection, ops chain
+    scores = {sid: float(np.mean([1.0 / rank_of[m] for m in ms]))
+              for sid, ms in members.items()}
 
     def record_op(key, op, parent_trees, child_tree):
         if lineage is not None:
@@ -329,72 +318,54 @@ def reproduce(population, keys, records, spec_state: SpeciationState,
                            [serialize(p) for p in parent_trees],
                            serialize(child_tree))
 
-    for rep in (promoted_reps or []):
-        next_population.append(rep)
+    def rng_at(key):
+        return _rng(config.seed, generation, key)
+
+    next_population = list(promoted_reps)
+    for rep in promoted_reps:
         record_op(0, "promote", [rep], rep)
+    # the k-th offspring or fill child draws from the keys k * OFFSPRING_STRIDE on
+    blocks = itertools.count(OFFSPRING_STRIDE, OFFSPRING_STRIDE)
+    alloc = _spawn_allocation(scores, max(config.population_size - len(next_population), 0))
 
-    budget = max(config.population_size - len(next_population), 0)
-    alloc = _spawn_allocation(scores, budget)
-
-    for sp in active:
-        n_spawn = alloc.get(sp.id, 0)
-        if n_spawn <= 0:
+    for sid, member_keys in members.items():
+        if alloc[sid] <= 0:
             continue
-        member_keys = [m for m in sp.members if m in rank_of]
-        elite_tree = by_key[elites[sp.id]]
+        elite_tree = by_key[min(member_keys, key=lambda k: records[k].fitness)]
         next_population.append(elite_tree)
         record_op(0, "elite", [elite_tree], elite_tree)
-        produced = 1
-        while produced < n_spawn:
-            offspring_index[0] += 1
-            base_key = offspring_index[0] * OFFSPRING_STRIDE
-            step = [0]
-
-            def op_rng():
-                key = base_key + step[0]
-                step[0] += 1
-                return _rng(config.seed, generation, key), key
-
-            rng_sel, _ = op_rng()
-            parent_a = _tournament(member_keys, records, rng_sel,
-                                   config.tournament_size)
-            child = by_key[parent_a]
+        for _ in range(alloc[sid] - 1):
+            op_keys = itertools.count(next(blocks))
+            rng_sel = rng_at(next(op_keys))
+            parent_a = by_key[_tournament(member_keys, records, rng_sel,
+                                          config.tournament_size)]
+            child = parent_a
             if rng_sel.random() < config.crossover_rate and len(member_keys) > 1:
-                parent_b = _tournament(member_keys, records, rng_sel,
-                                       config.tournament_size)
-                rng, key = op_rng()
-                child, _ = crossover_homologous(by_key[parent_a],
-                                                by_key[parent_b], rng)
-                record_op(key, "crossover", [by_key[parent_a], by_key[parent_b]],
-                          child)
-            retries = 0
-            while True:
-                rng, key = op_rng()
-                mutated = mutate_pipeline(child, rng, config.insert_rate,
-                                          config.shrink_rate,
-                                          config.memory_tap_rate)
+                parent_b = by_key[_tournament(member_keys, records, rng_sel,
+                                              config.tournament_size)]
+                key = next(op_keys)
+                child, _ = crossover_homologous(parent_a, parent_b, rng_at(key))
+                record_op(key, "crossover", [parent_a, parent_b], child)
+            for retries in itertools.count(1):
+                key = next(op_keys)
+                mutated = mutate_pipeline(child, rng_at(key), config.insert_rate,
+                                          config.shrink_rate, config.memory_tap_rate)
                 record_op(key, "mutate", [child], mutated)
                 child = mutated
                 if not spec_state.violates_archive(child):
                     break
-                retries += 1
                 if retries > config.max_shame_retries:
                     logger.warning(
                         "offspring still inside an archived region after %d "
                         "re-mutations; accepting it", retries)
                     break
             next_population.append(child)
-            produced += 1
 
     # fresh promotions with nothing else evaluated seed the remainder
-    fill_index = 0
-    while len(next_population) < config.population_size and promoted_reps:
-        offspring_index[0] += 1
-        key = offspring_index[0] * OFFSPRING_STRIDE
-        rng = _rng(config.seed, generation, key)
-        source = promoted_reps[fill_index % len(promoted_reps)]
-        fill_index += 1
-        child = mutate_pipeline(source, rng, config.insert_rate,
+    for source, _ in zip(itertools.cycle(promoted_reps),
+                         range(config.population_size - len(next_population))):
+        key = next(blocks)
+        child = mutate_pipeline(source, rng_at(key), config.insert_rate,
                                 config.shrink_rate, config.memory_tap_rate)
         record_op(key, "mutate", [source], child)
         next_population.append(child)
@@ -424,7 +395,6 @@ def run(config: EvolutionConfig, evaluator, predictor=None,
     state = start_state if start_state is not None else RunState.start(config, lineage)
     spec_state, records = state.speciation, state.records
 
-    promoted_reps = []
     for gen in range(state.next_generation, config.generations):
         population = state.population
         keys = [genome_key(g) for g in population]
@@ -434,22 +404,21 @@ def run(config: EvolutionConfig, evaluator, predictor=None,
         evaluate_generation(population, evaluator, records, config.fitness_mode,
                             keys=eval_keys, pool=pool, predictor=predictor)
 
+        # each species' best recorded member: its fitness feeds stagnation,
+        # and it becomes an active species' representative
         generation_best: dict[int, float] = {}
         for sp in spec_state.species:
-            fits = [records[m].fitness for m in sp.members if m in records]
-            if fits:
-                generation_best[sp.id] = min(fits)
-        for sp in spec_state.species:
-            if sp.id in generation_best and sp.state == ACTIVE:
-                best_member = min((m for m in sp.members if m in records),
-                                  key=lambda m: records[m].fitness)
-                sp.representative = parse(best_member)
+            scored = [m for m in sp.members if m in records]
+            if scored:
+                best_member = min(scored, key=lambda m: records[m].fitness)
+                generation_best[sp.id] = records[best_member].fitness
+                if sp.state == ACTIVE:
+                    sp.representative = parse(best_member)
 
         promoted = spec_state.update_stagnation(generation_best)
         promoted_reps = [sp.representative for sp in promoted]
 
-        evaluated = [records[k].fitness for k in sorted(set(eval_keys))
-                     if k in records]
+        evaluated = [records[k].fitness for k in sorted(set(eval_keys))]
         finite = [f for f in evaluated if math.isfinite(f)]
         counts = spec_state.counts()
         best_fitness, best_key = best_of(records)

@@ -21,6 +21,7 @@ from .data import (
     generate_babble_text,
     load_char_corpus,
     load_pianoroll,
+    make_streams,
     music_task_from_roll,
 )
 from .grammar import parse
@@ -55,12 +56,15 @@ class EvalContext:
     """Holds the task and configs; maps genome text to a fitness curve.
 
     The training budget comes from the config alone: ``train.epochs`` in
-    ``full_train`` mode, ``partial_epochs`` otherwise.
+    ``full_train`` mode, ``partial_epochs`` otherwise.  A train or valid
+    split too small to fill one batch raises ``ValueError``.
     """
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.task = build_task(config)
+        for split in ("train", "valid"):
+            make_streams(*self.task.split(split), config.train.batch_size)
         if config.evolution.fitness_mode == "full_train":
             self.epochs = config.train.epochs
         else:
@@ -94,12 +98,9 @@ class EvalContext:
     def __call__(self, text: str):
         """Fitness curve for one genome; divergence yields None (worst)."""
         try:
-            curve = self.train_genome(text)
+            return self.train_genome(text).lower_is_better()
         except TrainingDiverged:
             return None
-        if curve.metric_name == "f1":
-            return [1.0 - v for v in curve.metrics]
-        return list(curve.metrics)
 
 
 _WORKER_CTX: dict = {}

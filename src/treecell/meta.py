@@ -89,16 +89,17 @@ class _Seq2Seq:
     decoder rolled out ``decoder_len`` steps; the final output is the
     log of the predicted final metric."""
 
-    def __init__(self, decoder_len, config: MetaConfig, rng, dtype=np.float64):
+    dtype = np.float64
+
+    def __init__(self, decoder_len, config: MetaConfig, rng):
         self.decoder_len = decoder_len
         self.config = config
-        self.dtype = dtype
         slots = [[(compile_tree(lstm_reference_tree()), config.width)]] * config.layers
         params: dict[str, np.ndarray] = {}
-        self.encoder = RecurrentLayers(slots, 1, rng, params, "enc.", dtype)
-        self.decoder = RecurrentLayers(slots, 1, rng, params, "dec.", dtype)
-        params["head.W"] = init_uniform(rng, (config.width, 1), config.width, dtype)
-        params["head.b"] = np.zeros(1, dtype=dtype)
+        self.encoder = RecurrentLayers(slots, 1, rng, params, "enc.", self.dtype)
+        self.decoder = RecurrentLayers(slots, 1, rng, params, "dec.", self.dtype)
+        params["head.W"] = init_uniform(rng, (config.width, 1), config.width, self.dtype)
+        params["head.b"] = np.zeros(1, dtype=self.dtype)
         self.params = FlatParams.pack(params)
 
     def forward(self, prefix_log, record=False):
@@ -160,12 +161,11 @@ class CurvePredictor:
 
     config: MetaConfig
     members: list = field(default_factory=list)
-    trained: bool = False
 
     def predict_batch(self, prefixes) -> np.ndarray:
         """Predicted final metric for each row of ``prefixes``, shape
         (n, PREFIX_LEN); every value must be finite and positive."""
-        if not self.trained:
+        if not self.members:
             raise RuntimeError("model is not trained")
         prefixes = np.asarray(prefixes, dtype=np.float64)
         if prefixes.ndim != 2 or prefixes.shape[1] != PREFIX_LEN:
@@ -242,9 +242,6 @@ def train_meta(samples, config: MetaConfig = MetaConfig()) -> CurvePredictor:
     if len(samples) < config.min_samples:
         raise ValueError(
             f"need at least {config.min_samples} samples, have {len(samples)}")
-    for s in samples:
-        if s.target <= 0:
-            raise ValueError("targets must be positive")
     rng = np.random.Generator(np.random.PCG64(config.seed))
     order = rng.permutation(len(samples))
     n_val = max(1, int(len(samples) * config.val_fraction))
@@ -262,7 +259,6 @@ def train_meta(samples, config: MetaConfig = MetaConfig()) -> CurvePredictor:
         step_targets = _step_targets(train_set, dec_len)
         _train_member(member, tx, ty, vx, vy, config, rng, step_targets)
         model.members.append(member)
-    model.trained = True
     return model
 
 
@@ -366,7 +362,7 @@ def load_model(path) -> CurvePredictor:
                             decoder_lens=tuple(meta["decoder_lens"]),
                             seed=meta["seed"])
         model = CurvePredictor(config)
-        for i, dec_len in enumerate(config.decoder_lens):
+        for i in range(len(config.decoder_lens)):
             member = _Seq2Seq(int(blob[f"member{i}/decoder_len"]), config,
                               np.random.Generator(np.random.PCG64(0)))
             for k, param in member.params.items():
@@ -376,5 +372,4 @@ def load_model(path) -> CurvePredictor:
                                      f"expected {param.shape}")
                 param[...] = saved
             model.members.append(member)
-        model.trained = True
     return model

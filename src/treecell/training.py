@@ -46,6 +46,12 @@ class TrainingCurve:
     def final(self) -> float:
         return self.metrics[-1]
 
+    def lower_is_better(self) -> list[float]:
+        """The metrics as a fitness curve: perplexity as-is, F1 as 1 - F1."""
+        if self.metric_name == "f1":
+            return [1.0 - v for v in self.metrics]
+        return list(self.metrics)
+
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, epoch: int, batch: int):
@@ -259,6 +265,8 @@ def train(network: Network, task: SequenceTask, config: TrainConfig) -> Training
     rng = np.random.Generator(np.random.PCG64(config.seed))
     x, y = make_streams(*task.split("train"), config.batch_size)
     vx, vy = task.split("valid")
+    # a valid split too small to fill a batch is an error, not a divergence
+    make_streams(vx, vy, config.batch_size)
     optimizer = make_optimizer(config)
     is_tokens = task.kind == "tokens"
     curve = TrainingCurve("perplexity" if is_tokens else "f1")

@@ -119,6 +119,22 @@ def test_train_divergence_is_clean_error(tmp_path, genome_file, monkeypatch, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evolve", "train", "hetero"])
+def test_split_smaller_than_a_batch_is_clean_error(tmp_path, genome_file, capsys, command):
+    """A valid split shorter than one batch is a config error, reported
+    before anything trains: not a divergence, and not an inf fitness."""
+    cfg = tiny_config(tmp_path, **{"task.valid_tokens": 5, "network.width": 40})
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    (pool / "g.genome").write_text(genome_file.read_text())
+    argv = {"evolve": ["evolve"], "train": ["train", str(genome_file)],
+            "hetero": ["hetero", str(pool), "--count", "1"]}[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert "split too small for batch size 10" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_invalid_genome(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     bad = tmp_path / "bad.genome"

@@ -1,5 +1,7 @@
 import io
+import logging
 import math
+from collections import Counter
 from dataclasses import astuple
 
 import pytest
@@ -179,6 +181,35 @@ def test_reproduce_preserves_population_size_and_validity():
     nxt = reproduce(population, keys, records, state, config, 1)
     assert len(nxt) == config.population_size
     assert all(validate(g) == [] for g in nxt)
+
+
+def test_offspring_left_in_an_archived_region_after_the_retry_cap_are_accepted(caplog):
+    """Distances are at most 1, so with a threshold of 1.5 every genome
+    lies in the archived region: each offspring mutates 1 + max_shame_retries
+    times, in its own block of rng keys, and is then accepted with a warning."""
+    config = small_config(max_shame_retries=2,
+                          speciation=SpeciationConfig(compatibility_threshold=1.5))
+    population = init_population(config)
+    keys = [genome_key(g) for g in population]
+    state = SpeciationState(config.speciation)
+    speciate(dict(zip(keys, population)), state, 0)
+    state.archive.append(seed_tree())
+    records = {}
+    evaluate_generation(population, toy_evaluator, records,
+                        config.fitness_mode, keys=keys)
+    sink = io.StringIO()
+    with caplog.at_level(logging.WARNING, logger="treecell.evolution"):
+        nxt = reproduce(population, keys, records, state, config, 1, LineageLog(sink))
+    lines = sink.getvalue().splitlines()
+    mutations = Counter(int(line.split("\t")[1]) // 64 for line in lines
+                        if line.split("\t")[2] == "mutate")
+    offspring = config.population_size - 1  # one species: its elite, then offspring
+    assert len(nxt) == config.population_size
+    assert sorted(mutations) == list(range(1, offspring + 1))
+    assert set(mutations.values()) == {3}
+    warnings = [r for r in caplog.records if "archived region" in r.getMessage()]
+    assert len(warnings) == offspring
+    assert all(replay_line(line, config) == line.split("\t")[4] for line in lines)
 
 
 def test_reproduce_keeps_elite_unchanged():

@@ -246,6 +246,17 @@ def test_training_deterministic_given_seed():
     assert curves[0] == curves[1]  # bit-identical
 
 
+def test_a_valid_split_smaller_than_a_batch_is_an_error_not_a_divergence():
+    task = delayed_copy_task(vocab_size=5, delay=2, train_tokens=400,
+                             valid_tokens=3, test_tokens=3, seed=0)
+    net = build_network(homogeneous_spec(6, 1, 4, vocab_size=5),
+                        [lstm_reference_tree()], rng_for(0))
+    config = TrainConfig(unroll_steps=10, batch_size=4, epochs=1, optimizer="adam",
+                         lr=0.01, dropout_ff=0.0, dropout_rec=0.0, seed=0)
+    with pytest.raises(ValueError, match="split too small for batch size 4"):
+        train(net, task, config)
+
+
 def test_memory_overflow_stops_training_in_the_chunk_that_reads_it():
     """d(t) = d(t-1)^2 + sigmoid(x0) overflows to inf in the second chunk,
     while h = tanh(...) stays finite.  The layer's check on the d each step
