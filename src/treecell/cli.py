@@ -9,6 +9,7 @@ single worker, and 64-bit precision.
 from __future__ import annotations
 
 import argparse
+import configparser
 import dataclasses
 import math
 import os
@@ -93,7 +94,7 @@ STATS_HEADER = tuple(f.name for f in dataclasses.fields(evolution.GenerationStat
 
 
 def cmd_evolve(args) -> int:
-    config = _load_experiment(args)
+    config = args.experiment
     predictor = None
     if config.evolution.fitness_mode == "meta_predicted":
         if config.evolution.partial_epochs != meta.PREFIX_LEN:
@@ -164,7 +165,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_experiment(args)
+    config = args.experiment
     genome = _read_genome(args.genome)
     if genome is None:
         return 1
@@ -194,7 +195,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_hetero(args) -> int:
-    config = _load_experiment(args)
+    config = args.experiment
     pool_dir = Path(args.pool)
     if not pool_dir.exists():
         return _fail(f"pool path {pool_dir} does not exist")
@@ -266,9 +267,7 @@ def cmd_meta(args) -> int:
             samples = meta.load_samples_csv(args.dataset)
         except (OSError, ValueError) as exc:
             return _fail(str(exc))
-        cfg = meta.MetaConfig()
-        if args.config:
-            cfg = load_config(args.config).meta
+        cfg = meta.MetaConfig() if args.config is None else args.experiment.meta
         if args.seed is not None:
             cfg.seed = args.seed
         try:
@@ -305,9 +304,8 @@ def make_parser() -> argparse.ArgumentParser:
         description="Evolve gated recurrent cells encoded as trees.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
-                       help="experiment config (INI)")
+    def common(p):
+        p.add_argument("--config", required=True, help="experiment config (INI)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--precision", type=int, choices=(32, 64), default=None)
 
@@ -358,6 +356,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    if getattr(args, "config", None) is not None:
+        try:
+            args.experiment = _load_experiment(args)
+        except (OSError, ValueError, configparser.Error) as exc:
+            return _fail(str(exc))
     return args.func(args)
 
 

@@ -9,6 +9,7 @@ re-derive any genome from the seed tree.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
@@ -49,6 +50,12 @@ class EvolutionConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
+        if self.fitness_mode not in ("meta_predicted", "epoch10_baseline", "full_train"):
+            raise ValueError(f"unknown fitness_mode {self.fitness_mode!r}")
+        # an offspring uses up to max_shame_retries + 3 keys of its block
+        if not 0 <= self.max_shame_retries <= OFFSPRING_STRIDE - 3:
+            raise ValueError(f"max_shame_retries must be in [0, {OFFSPRING_STRIDE - 3}], "
+                             f"got {self.max_shame_retries}")
 
 
 @dataclass
@@ -163,19 +170,39 @@ OFFSPRING_STRIDE = 64  # rng keys per offspring: selection, crossover, each muta
 def init_population(config: EvolutionConfig,
                     lineage: LineageLog | None = None) -> list[NodeTree]:
     """The seed tree plus single-mutation variants of it."""
-    seed = seed_tree()
-    population = [seed]
+    seed = _derive(config, 0, lineage, "seed", [], 0)
+    return [seed] + [_derive(config, 0, lineage, "mutate", [seed], INIT_KEY_BASE + i)
+                     for i in range(config.population_size - 1)]
+
+
+def _operate(op: str, parents: list[NodeTree], config: EvolutionConfig,
+             generation: int, key: int) -> NodeTree:
+    """The child one lineage operator makes, for a run and a replay alike.
+
+    Identity operators (elite, promote) return the parent unchanged; seed
+    returns the starting tree; crossover and mutate draw from the generator
+    that (run seed, generation, rng key) determines.
+    """
+    if op in ("elite", "promote"):
+        return parents[0]
+    if op == "seed":
+        return seed_tree()
+    rng = _rng(config.seed, generation, key)
+    if op == "crossover":
+        return crossover_homologous(parents[0], parents[1], rng)[0]
+    if op == "mutate":
+        return mutate_pipeline(parents[0], rng, config.insert_rate,
+                               config.shrink_rate, config.memory_tap_rate)
+    raise ValueError(f"unknown lineage operator {op!r}")
+
+
+def _derive(config, generation, lineage, op, parents, key) -> NodeTree:
+    """:func:`_operate`, with its lineage line written when there is a log."""
+    child = _operate(op, parents, config, generation, key)
     if lineage is not None:
-        lineage.record(0, 0, "seed", [], serialize(seed))
-    for i in range(config.population_size - 1):
-        key = INIT_KEY_BASE + i
-        rng = _rng(config.seed, 0, key)
-        child = mutate_pipeline(seed_tree(), rng, config.insert_rate,
-                                config.shrink_rate, config.memory_tap_rate)
-        population.append(child)
-        if lineage is not None:
-            lineage.record(0, key, "mutate", [serialize(seed)], serialize(child))
-    return population
+        lineage.record(generation, key, op, [serialize(p) for p in parents],
+                       serialize(child))
+    return child
 
 
 class LineageLog:
@@ -198,27 +225,10 @@ class LineageLog:
 
 
 def replay_line(line: str, config: EvolutionConfig) -> str:
-    """Re-derive the child genome recorded on a lineage line.
-
-    Identity operators (elite, promote) return the parent unchanged; seed
-    returns the starting tree; mutate/crossover re-run the recorded
-    operator with the generator reconstructed from the rng key.
-    """
-    generation, key, op, parents_field, child = line.rstrip("\n").split("\t")
+    """Re-derive the child genome recorded on a lineage line."""
+    generation, key, op, parents_field, _ = line.rstrip("\n").split("\t")
     parents = [parse(p) for p in parents_field.split("|")] if parents_field else []
-    if op in ("elite", "promote"):
-        return serialize(parents[0])
-    if op == "seed":
-        return serialize(seed_tree())
-    rng = _rng(config.seed, int(generation), int(key))
-    if op == "crossover":
-        out, _ = crossover_homologous(parents[0], parents[1], rng)
-    elif op == "mutate":
-        out = mutate_pipeline(parents[0], rng, config.insert_rate,
-                              config.shrink_rate, config.memory_tap_rate)
-    else:
-        raise ValueError(f"unknown lineage operator {op!r}")
-    return serialize(out)
+    return serialize(_operate(op, parents, config, int(generation), int(key)))
 
 
 def genome_key(tree: NodeTree) -> str:
@@ -312,18 +322,8 @@ def reproduce(population, keys, records, spec_state: SpeciationState,
     scores = {sid: float(np.mean([1.0 / rank_of[m] for m in ms]))
               for sid, ms in members.items()}
 
-    def record_op(key, op, parent_trees, child_tree):
-        if lineage is not None:
-            lineage.record(generation, key, op,
-                           [serialize(p) for p in parent_trees],
-                           serialize(child_tree))
-
-    def rng_at(key):
-        return _rng(config.seed, generation, key)
-
-    next_population = list(promoted_reps)
-    for rep in promoted_reps:
-        record_op(0, "promote", [rep], rep)
+    derive = functools.partial(_derive, config, generation, lineage)
+    next_population = [derive("promote", [rep], 0) for rep in promoted_reps]
     # the k-th offspring or fill child draws from the keys k * OFFSPRING_STRIDE on
     blocks = itertools.count(OFFSPRING_STRIDE, OFFSPRING_STRIDE)
     alloc = _spawn_allocation(scores, max(config.population_size - len(next_population), 0))
@@ -331,27 +331,20 @@ def reproduce(population, keys, records, spec_state: SpeciationState,
     for sid, member_keys in members.items():
         if alloc[sid] <= 0:
             continue
-        elite_tree = by_key[min(member_keys, key=lambda k: records[k].fitness)]
-        next_population.append(elite_tree)
-        record_op(0, "elite", [elite_tree], elite_tree)
+        elite_key = min(member_keys, key=lambda k: records[k].fitness)
+        next_population.append(derive("elite", [by_key[elite_key]], 0))
         for _ in range(alloc[sid] - 1):
             op_keys = itertools.count(next(blocks))
-            rng_sel = rng_at(next(op_keys))
+            rng_sel = _rng(config.seed, generation, next(op_keys))
             parent_a = by_key[_tournament(member_keys, records, rng_sel,
                                           config.tournament_size)]
             child = parent_a
             if rng_sel.random() < config.crossover_rate and len(member_keys) > 1:
                 parent_b = by_key[_tournament(member_keys, records, rng_sel,
                                               config.tournament_size)]
-                key = next(op_keys)
-                child, _ = crossover_homologous(parent_a, parent_b, rng_at(key))
-                record_op(key, "crossover", [parent_a, parent_b], child)
+                child = derive("crossover", [parent_a, parent_b], next(op_keys))
             for retries in itertools.count(1):
-                key = next(op_keys)
-                mutated = mutate_pipeline(child, rng_at(key), config.insert_rate,
-                                          config.shrink_rate, config.memory_tap_rate)
-                record_op(key, "mutate", [child], mutated)
-                child = mutated
+                child = derive("mutate", [child], next(op_keys))
                 if not spec_state.violates_archive(child):
                     break
                 if retries > config.max_shame_retries:
@@ -364,11 +357,7 @@ def reproduce(population, keys, records, spec_state: SpeciationState,
     # fresh promotions with nothing else evaluated seed the remainder
     for source, _ in zip(itertools.cycle(promoted_reps),
                          range(config.population_size - len(next_population))):
-        key = next(blocks)
-        child = mutate_pipeline(source, rng_at(key), config.insert_rate,
-                                config.shrink_rate, config.memory_tap_rate)
-        record_op(key, "mutate", [source], child)
-        next_population.append(child)
+        next_population.append(derive("mutate", [source], next(blocks)))
     return next_population[:config.population_size]
 
 

@@ -10,7 +10,7 @@ nonlinearities one).  Population files hold one genome per line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .tree import ARITY, LEAVES, NodeTree, TAPS, expr_to_tree, node_text
 
@@ -24,37 +24,14 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
+# one token: a bracket, or a run of anything but brackets and whitespace
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line, col = line + 1, 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch in "()":
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append(_Token(text[i:j], line, col))
-            col += j - i
-            i = j
-    return tokens
+def _error(message: str, text: str, offset: int) -> ParseError:
+    """A :class:`ParseError` at ``offset``, its line and column counted from it."""
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - text.rfind("\n", 0, offset))
 
 
 def serialize(tree: NodeTree) -> str:
@@ -68,58 +45,44 @@ def parse(text: str) -> NodeTree:
     Parsing checks only the grammar (names, arities, bracketing); rule
     conformance is the validator's job.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty genome text", 1, 1)
-    pos = [0]
-
-    def peek() -> _Token | None:
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def take() -> _Token:
-        tok = peek()
-        if tok is None:
-            last = tokens[-1]
-            raise ParseError("unexpected end of input", last.line, last.column + len(last.text))
-        pos[0] += 1
-        return tok
-
-    def parse_node():
-        tok = take()
-        if tok.text == ")":
-            raise ParseError("unexpected ')'", tok.line, tok.column)
-        if tok.text == "(":
-            head = take()
-            if head.text in "()":
-                raise ParseError("expected element name after '('", head.line, head.column)
-            kind, _, tap = head.text.partition("@")
+    tokens = ((m.group(), m.start()) for m in _TOKEN.finditer(text))
+    open_nodes = []  # (kind, tap, offset of its "(", children so far), innermost last
+    for tok, offset in tokens:
+        if tok == "(":
+            head, head_offset = next(tokens, (None, offset + 1))
+            if head is None:
+                raise _error("unexpected end of input", text, head_offset)
+            if head in "()":
+                raise _error("expected element name after '('", text, head_offset)
+            kind, _, tap = head.partition("@")
             if kind not in ARITY or kind in LEAVES:
-                raise ParseError(f"unknown element name {kind!r}", head.line, head.column)
-            if head.text.count("@") > 1 or (tap and tap not in TAPS):
-                raise ParseError(f"unknown output tag {tap!r}", head.line, head.column)
-            children = []
-            while True:
-                nxt = peek()
-                if nxt is None:
-                    raise ParseError("missing ')'", tok.line, tok.column)
-                if nxt.text == ")":
-                    take()
-                    break
-                children.append(parse_node())
+                raise _error(f"unknown element name {kind!r}", text, head_offset)
+            if head.count("@") > 1 or (tap and tap not in TAPS):
+                raise _error(f"unknown output tag {tap!r}", text, head_offset)
+            open_nodes.append((kind, tap or None, offset, []))
+            continue
+        if tok == ")":
+            if not open_nodes:
+                raise _error("unexpected ')'", text, offset)
+            kind, tap, open_offset, children = open_nodes.pop()
             if len(children) != ARITY[kind]:
-                raise ParseError(
-                    f"arity mismatch: {kind} takes {ARITY[kind]} subtrees, found {len(children)}",
-                    tok.line, tok.column)
-            return (kind, tap or None, tuple(children))
-        if tok.text not in LEAVES:
-            raise ParseError(f"unknown leaf name {tok.text!r}", tok.line, tok.column)
-        return (tok.text, None, ())
-
-    expr = parse_node()
-    trailing = peek()
-    if trailing is not None:
-        raise ParseError(f"trailing input {trailing.text!r}", trailing.line, trailing.column)
-    return expr_to_tree(expr)
+                raise _error(f"arity mismatch: {kind} takes {ARITY[kind]} subtrees, "
+                             f"found {len(children)}", text, open_offset)
+            expr = (kind, tap, tuple(children))
+        elif tok in LEAVES:
+            expr = (tok, None, ())
+        else:
+            raise _error(f"unknown leaf name {tok!r}", text, offset)
+        if open_nodes:
+            open_nodes[-1][3].append(expr)
+            continue
+        trailing = next(tokens, None)
+        if trailing is not None:
+            raise _error(f"trailing input {trailing[0]!r}", text, trailing[1])
+        return expr_to_tree(expr)
+    if open_nodes:
+        raise _error("missing ')'", text, open_nodes[-1][2])
+    raise ParseError("empty genome text", 1, 1)
 
 
 def read_population(path) -> list[NodeTree]:

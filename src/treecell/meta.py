@@ -177,12 +177,11 @@ class CurvePredictor:
         return np.mean(member_preds, axis=0)
 
 
-def _adam_step(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def _adam_step(state, params, grads, lr):
     """One Adam update of a member's ``FlatParams`` by ``grads``; ``state``
     holds the step count and the flat moments."""
     state["t"] += 1
-    adam_update(params.flat, grads.flat, state["m"], state["v"], state["t"], lr,
-                beta1, beta2, eps)
+    adam_update(params.flat, grads.flat, state["m"], state["v"], state["t"], lr)
 
 
 def _train_member(member: _Seq2Seq, train_x, train_y, val_x, val_y,

@@ -29,10 +29,12 @@ class TrainConfig:
     grad_clip_norm: float = 10.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.optimizer not in ("sgd", "adam"):
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+
     def lr_at(self, epoch: int) -> float:
-        """Learning rate for a 1-based epoch index."""
-        if self.optimizer == "adam":
-            return self.lr
+        """SGD's learning rate for a 1-based epoch index."""
         extra = max(0, epoch - self.decay_after_epoch)
         return self.lr * (self.lr_decay ** extra)
 
@@ -107,7 +109,7 @@ class SGD:
         params.flat -= self.config.lr_at(self.epoch) * grads.flat
 
 
-def adam_update(p, g, m, v, t: int, lr, beta1, beta2, eps) -> None:
+def adam_update(p, g, m, v, t: int, lr) -> None:
     """One Adam step on flat vectors, in place: ``p`` the parameters, ``g``
     their gradient, ``m`` and ``v`` the moments, ``t`` the 1-based step.
 
@@ -115,6 +117,7 @@ def adam_update(p, g, m, v, t: int, lr, beta1, beta2, eps) -> None:
     with ``m = beta1 * m + (1 - beta1) * g`` and ``v = beta2 * v +
     (1 - beta2) * g * g``; keep that order, or the results change bits.
     """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     m *= beta1
     m += (1 - beta1) * g
     v *= beta2
@@ -128,9 +131,8 @@ def adam_update(p, g, m, v, t: int, lr, beta1, beta2, eps) -> None:
 
 
 class Adam:
-    def __init__(self, config: TrainConfig, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, config: TrainConfig):
         self.config = config
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = self.v = None
         self.t = 0
         self.epoch = 1
@@ -142,8 +144,7 @@ class Adam:
         if self.m is None:
             self.m = np.zeros_like(grads.flat)
             self.v = np.zeros_like(grads.flat)
-        adam_update(params.flat, grads.flat, self.m, self.v, self.t, self.config.lr,
-                    self.beta1, self.beta2, self.eps)
+        adam_update(params.flat, grads.flat, self.m, self.v, self.t, self.config.lr)
 
 
 def make_optimizer(config: TrainConfig):
@@ -221,8 +222,6 @@ def eval_perplexity(network: Network, inputs, targets, batch_size: int = 20,
         n = yc.size
         total += loss * n
         count += n
-    if count == 0:
-        raise ValueError("empty split")
     return float(np.exp(total / count))
 
 
@@ -247,8 +246,6 @@ def eval_f1(network: Network, inputs, targets, batch_size: int = 20,
     for logits, yc in _stream_logits(network, inputs, targets, batch_size, unroll):
         pred.append((1.0 / (1.0 + np.exp(-np.clip(logits, -500, 500))) >= 0.5).ravel())
         targ.append((yc >= 0.5).ravel())
-    if not pred:
-        raise ValueError("empty split")
     return micro_f1(np.concatenate(pred), np.concatenate(targ))
 
 

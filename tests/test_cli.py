@@ -135,6 +135,42 @@ def test_split_smaller_than_a_batch_is_clean_error(tmp_path, genome_file, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("problem, message", [
+    ("missing", "No such file or directory"),
+    ("unknown option", "unknown option 'foo' in section [train]"),
+    ("fitness_mode typo", "unknown fitness_mode 'full-train'"),
+    ("optimizer", "unknown optimizer 'adamw'"),
+])
+@pytest.mark.parametrize("command", ["evolve", "train", "hetero", "meta train"])
+def test_bad_config_is_clean_error(tmp_path, genome_file, capsys, command, problem, message):
+    """A config that cannot be read or breaks a rule ends every command that
+    reads one with exit 1, before anything else is read or trained."""
+    cfg = tiny_config(tmp_path)
+    text = cfg.read_text()
+    edited = {"missing": None,
+              "unknown option": text.replace("[train]\n", "[train]\nfoo = 1\n"),
+              "fitness_mode typo": text.replace("epoch10_baseline", "full-train"),
+              "optimizer": text.replace("optimizer = adam", "optimizer = adamw")}[problem]
+    assert edited != text
+    if edited is None:
+        cfg = tmp_path / "nope.ini"
+    else:
+        cfg.write_text(edited)
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    (pool / "g.genome").write_text(genome_file.read_text())
+    dataset = tmp_path / "curves.csv"
+    save_samples_csv(dataset, synthetic_curves(100, seed=8)[0])
+    argv = {"evolve": ["evolve"], "train": ["train", str(genome_file)],
+            "hetero": ["hetero", str(pool), "--count", "1"],
+            "meta train": ["meta", "train", "--dataset", str(dataset)]}[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_train_rejects_invalid_genome(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     bad = tmp_path / "bad.genome"

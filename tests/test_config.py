@@ -33,6 +33,15 @@ def test_unknown_option_rejected():
         parse_config("[train]\nwarp_factor = 9\n")
 
 
+@pytest.mark.parametrize("section, option, value", [
+    ("evolution", "fitness_mode", "full-train"),
+    ("train", "optimizer", "adamw"),
+])
+def test_bad_values_rejected_when_a_config_loads(section, option, value):
+    with pytest.raises(ValueError, match=option):
+        parse_config(f"[{section}]\n{option} = {value}\n")
+
+
 def test_precision_validated():
     with pytest.raises(ValueError):
         ExperimentConfig(precision=16)

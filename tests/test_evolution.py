@@ -61,6 +61,15 @@ def test_config_rejects_bad_rates():
         EvolutionConfig(crossover_rate=1.5)
 
 
+def test_config_bounds_max_shame_retries_to_one_key_block():
+    """An offspring uses up to max_shame_retries + 3 keys of its 64."""
+    for ok in (0, 61):
+        assert EvolutionConfig(max_shame_retries=ok).max_shame_retries == ok
+    for bad in (62, -1):
+        with pytest.raises(ValueError, match="max_shame_retries"):
+            EvolutionConfig(max_shame_retries=bad)
+
+
 def test_evaluate_generation_caches_duplicates():
     calls = []
 
@@ -278,21 +287,33 @@ def test_run_requires_predictor_for_meta_mode():
 
 
 def test_lineage_replay_reproduces_genomes():
-    config = small_config(generations=4)
-    sink = io.StringIO()
-    result = run(config, toy_evaluator, lineage=LineageLog(sink))
-    lines = sink.getvalue().splitlines()
-    assert lines, "lineage log is empty"
-    reproduced = 0
-    for line in lines:
-        child = line.split("\t")[4]
-        assert replay_line(line, config) == child
-        reproduced += 1
-    assert reproduced == len(lines)
-    # every final-population genome traces back through the log
-    logged_children = {line.split("\t")[4] for line in lines}
-    for g in result.population:
-        assert serialize(g) in logged_children
+    """Every line replays: in a ranked run, and in a flat-fitness run whose
+    stagnant species give way to promotions and fill children."""
+    flat = small_config(generations=4, speciation=SpeciationConfig(
+        compatibility_threshold=0.3, stagnation_limit=1, max_active=1))
+    for config, evaluator in ((small_config(generations=4), toy_evaluator),
+                              (flat, lambda text: [4.0, 4.0])):
+        sink = io.StringIO()
+        result = run(config, evaluator, lineage=LineageLog(sink))
+        lines = sink.getvalue().splitlines()
+        assert lines, "lineage log is empty"
+        for line in lines:
+            assert replay_line(line, config) == line.split("\t")[4]
+        # every final-population genome traces back through the log
+        logged_children = {line.split("\t")[4] for line in lines}
+        for g in result.population:
+            assert serialize(g) in logged_children
+    fields = [line.split("\t") for line in lines]
+    assert any(op == "promote" for _, _, op, _, _ in fields)
+    # a fill child mutates a promoted representative with its block's first key
+    assert any(op == "mutate" and int(gen) > 0 and int(key) % 64 == 0
+               for gen, key, op, _, _ in fields)
+
+
+def test_replay_rejects_an_unknown_operator():
+    line = f"1\t64\tgraft\t{serialize(seed_tree())}\t{serialize(seed_tree())}"
+    with pytest.raises(ValueError, match="unknown lineage operator 'graft'"):
+        replay_line(line, small_config())
 
 
 def test_forced_stagnation_archives_and_promotes():

@@ -60,6 +60,43 @@ def test_parse_errors_report_position():
         parse("(add@q x0 x1)")
 
 
+@pytest.mark.parametrize("text, message, line, column", [
+    ("", "empty genome text", 1, 1),
+    (" \n\t", "empty genome text", 1, 1),
+    ("(", "unexpected end of input", 1, 2),
+    ("\n  (", "unexpected end of input", 2, 4),
+    ("(add x0 x1", "missing ')'", 1, 1),
+    ("(add x0\n\t(tanh x1)", "missing ')'", 1, 1),
+    ("\n\n  (tanh\n", "missing ')'", 3, 3),
+    (")", "unexpected ')'", 1, 1),
+    ("(add x0 x1))", "trailing input ')'", 1, 12),
+    ("(()", "expected element name after '('", 1, 2),
+    ("(add () x1)", "expected element name after '('", 1, 7),
+    ("(frob x0 x1)", "unknown element name 'frob'", 1, 2),
+    ("(x0 x1)", "unknown element name 'x0'", 1, 2),
+    ("(add x0 x9)", "unknown leaf name 'x9'", 1, 9),
+    ("q", "unknown leaf name 'q'", 1, 1),
+    ("(add@q x0 x1)", "unknown output tag 'q'", 1, 2),
+    ("(add@c@d x0 x1)", "unknown output tag 'c@d'", 1, 2),
+    ("(add x0)", "arity mismatch: add takes 2 subtrees, found 1", 1, 1),
+    ("(tanh x0 x1)", "arity mismatch: tanh takes 1 subtrees, found 2", 1, 1),
+    ("(add x0 x1) x2", "trailing input 'x2'", 1, 13),
+    ("(add x0 x1)(tanh x2)", "trailing input '('", 1, 12),
+    ("(add x0 x1)\n)", "trailing input ')'", 2, 1),
+    ("(add x0\n  (frob x1 x2))", "unknown element name 'frob'", 2, 4),
+    ("(add\tx0\n\t(mul x1\n\t\t(tanh x2) x3 x4))",
+     "arity mismatch: mul takes 2 subtrees, found 4", 2, 2),
+    ("(add x0\r\n (tanh\tcprev) dprev\n  )  ",
+     "arity mismatch: add takes 2 subtrees, found 3", 1, 1),
+    ("(sigmoid (add x0 x1) \n\t x9)", "unknown leaf name 'x9'", 2, 3),
+])
+def test_malformed_text_reports_message_line_and_column(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"{line}:{column}: {message}", line, column)
+
+
 def test_serialize_matches_build_order():
     t = build_tree(("add", ("mul", "x0", "cprev"), "x3"))
     assert serialize(t) == "(add (mul x0 cprev) x3)"
