@@ -24,7 +24,7 @@ from . import evolution, meta
 from .config import ExperimentConfig, emit_config, load_config
 from .fitness import EvalContext, _eval_in_worker, _init_worker, stable_seed
 from .genetic import tree_distance
-from .grammar import parse, read_population, serialize
+from .grammar import ParseError, parse, read_population, serialize
 from .network import heterogeneous_layer
 from .training import TrainingDiverged
 from .tree import validate as validate_tree
@@ -202,7 +202,10 @@ def cmd_hetero(args) -> int:
     files = sorted(p for p in pool_dir.iterdir() if p.is_file())
     genomes = []
     for f in files:
-        genomes.extend(read_population(f))
+        try:
+            genomes.extend(read_population(f))
+        except ParseError as exc:
+            return _fail(f"{f}:{exc}")
     if not genomes:
         return _fail("pool contains no genomes")
     cardinality = config.network.cardinality

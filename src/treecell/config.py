@@ -106,7 +106,10 @@ def _parse_section(parser, section: str, cls):
         for key, raw in parser.items(section):
             if key not in known:
                 raise ValueError(f"unknown option {key!r} in section [{section}]")
-            values[key] = _coerce(raw, _field_type(known[key]))
+            try:
+                values[key] = _coerce(raw, _field_type(known[key]))
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key}: {exc}") from exc
     for name, sub in nested.items():
         values[name] = _parse_section(parser, name, sub)
     return cls(**values)

@@ -20,6 +20,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 
@@ -86,15 +87,15 @@ def parse(text: str) -> NodeTree:
 
 
 def read_population(path) -> list[NodeTree]:
-    """Read one genome per non-empty line."""
+    """Read one genome per non-empty line; a :class:`ParseError` gives the
+    file's line and the column in that line, as read."""
     genomes = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
+            if not line.strip():
                 continue
             try:
-                genomes.append(parse(stripped))
+                genomes.append(parse(line))
             except ParseError as exc:
-                raise ParseError(f"line {lineno}: {exc}", lineno, exc.column) from exc
+                raise ParseError(exc.message, lineno, exc.column) from exc
     return genomes

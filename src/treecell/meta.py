@@ -7,6 +7,11 @@ recurrent layers of the package's own gated reference cell) and differ in
 decoder rollout length, 30 steps versus 1; the ensemble prediction is the
 mean of the members' final outputs.  The naive alternative it must beat
 is simply reading the epoch-10 value.
+
+Training records one cache per minibatch (every decoder step's tapes) and
+drops it once its gradients are taken, so at most one cache is alive
+during the fit.  A 30-step member's cache at width 40, two layers and
+batch 50 holds about 21 MB.
 """
 
 from __future__ import annotations
@@ -217,6 +222,7 @@ def _train_member(member: _Seq2Seq, train_x, train_y, val_x, val_y,
                 final = preds[:, -1]
                 douts[:, -1] = np.sign(final - by) * final / by / len(idx)
             grads = member.backward(cache, douts)
+            del cache  # or it stays alive through the next minibatch's forward
             _adam_step(opt, member.params, grads, config.lr)
         val_pred = np.exp(member.forward(val_x)[:, -1])
         val_mae = mae_percent(val_pred, val_y)

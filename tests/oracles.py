@@ -8,8 +8,12 @@ for the generated straight-line kernels, and the ``step_major_*`` functions
 run networks and predictor members one time step at a time up the layer
 stack, as the reference for the layer-major sequence engine.
 ``assert_views_of_flat`` checks a parameter set against its flat vector,
-and ``global_norm`` is the textbook global L2 norm of a gradient set.
+``global_norm`` is the textbook global L2 norm of a gradient set, and
+``watch_cache_lifetimes`` sees whether a training loop still holds one
+recorded cache when it records the next.
 """
+
+import weakref
 
 import numpy as np
 import pytest
@@ -40,6 +44,32 @@ def assert_views_of_flat(params):
     params.flat[...] = np.arange(params.flat.size)
     entries = np.concatenate([p.ravel() for p in params.values()])
     assert np.array_equal(np.sort(entries), np.arange(params.flat.size))
+
+
+def watch_cache_lifetimes(monkeypatch, owner, name, op_output):
+    """Patch the recorded forward ``owner.name``, whose result ends with its
+    cache, for the rest of the test.
+
+    Returns a list that gets one entry per recorded call after the first:
+    whether ``op_output(cache)`` of the previous recorded call, an array
+    that only that cache holds, was still alive when the call started.
+    """
+    original = getattr(owner, name)
+    previous = []
+    alive = []
+
+    def forward(self, *args, record=False, **kwargs):
+        if record and previous:
+            alive.append(previous[-1]() is not None)
+        result = original(self, *args, record=record, **kwargs)
+        if record:
+            array = op_output(result[-1])
+            assert array.base is None, "a view may be held elsewhere"
+            previous.append(weakref.ref(array))
+        return result
+
+    monkeypatch.setattr(owner, name, forward)
+    return alive
 
 
 def global_norm(grads) -> float:

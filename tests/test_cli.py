@@ -171,6 +171,15 @@ def test_bad_config_is_clean_error(tmp_path, genome_file, capsys, command, probl
     assert not out.exists()
 
 
+def test_unreadable_config_value_names_its_option(tmp_path, genome_file, capsys):
+    cfg = tiny_config(tmp_path)
+    head, train_section = cfg.read_text().split("[train]\n")
+    cfg.write_text(head + "[train]\n" + train_section.replace("epochs = 1\n", "epochs = ten\n", 1))
+    assert main(["train", str(genome_file), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "error: [train] epochs: invalid literal for int() with base 10: 'ten'\n")
+
+
 def test_train_rejects_invalid_genome(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     bad = tmp_path / "bad.genome"
@@ -325,6 +334,18 @@ def test_hetero_pool_of_one_and_count_zero(tmp_path, capsys):
     assert main(["hetero", str(pool), "--config", str(cfg), "--count", "0",
                  "--out", str(out0)]) == 0
     assert out0.read_text() == "rank,fitness,genomes\n"
+
+
+def test_hetero_pool_parse_error_is_clean_error(tmp_path, genome_file, capsys):
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    (pool / "bad.txt").write_text(genome_file.read_text() + "   (add x0 x9)\n")
+    out = tmp_path / "hetero.csv"
+    assert main(["hetero", str(pool), "--config", str(tiny_config(tmp_path)),
+                 "--count", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {pool / 'bad.txt'}:2:12: unknown leaf name 'x9'\n")
+    assert not out.exists()
 
 
 def test_train_at_32_bit_precision(tmp_path, genome_file):

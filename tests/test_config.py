@@ -42,6 +42,17 @@ def test_bad_values_rejected_when_a_config_loads(section, option, value):
         parse_config(f"[{section}]\n{option} = {value}\n")
 
 
+@pytest.mark.parametrize("section, option, value, message", [
+    ("train", "epochs", "ten", "invalid literal for int() with base 10: 'ten'"),
+    ("train", "lr", "fast", "could not convert string to float: 'fast'"),
+    ("meta", "decoder_lens", "30,x", "invalid literal for int() with base 10: 'x'"),
+])
+def test_unreadable_values_name_their_option(section, option, value, message):
+    with pytest.raises(ValueError) as err:
+        parse_config(f"[{section}]\n{option} = {value}\n")
+    assert str(err.value) == f"[{section}] {option}: {message}"
+
+
 def test_precision_validated():
     with pytest.raises(ValueError):
         ExperimentConfig(precision=16)

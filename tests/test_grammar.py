@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecell.genetic import random_genome
-from treecell.grammar import ParseError, parse, serialize
+from treecell.grammar import ParseError, parse, read_population, serialize
 from treecell.tree import build_tree, size, validate
 
 
@@ -95,6 +95,19 @@ def test_malformed_text_reports_message_line_and_column(text, message, line, col
         parse(text)
     assert (str(err.value), err.value.line, err.value.column) == (
         f"{line}:{column}: {message}", line, column)
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    ("(add x0 x1)\n   (add x0 x9)\n", "unknown leaf name 'x9'", 2, 12),
+    ("(tanh x0)\n\n\t(add x0\n", "missing ')'", 3, 2),
+])
+def test_population_errors_give_file_line_and_column(tmp_path, text, message, line, column):
+    path = tmp_path / "pool.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        read_population(path)
+    assert (str(err.value), err.value.message, err.value.line, err.value.column) == (
+        f"{line}:{column}: {message}", message, line, column)
 
 
 def test_serialize_matches_build_order():

@@ -15,7 +15,7 @@ from treecell.meta import (
     train_meta,
 )
 
-from oracles import assert_views_of_flat
+from oracles import assert_views_of_flat, watch_cache_lifetimes
 
 
 def rng_for(seed):
@@ -127,6 +127,20 @@ def test_same_seed_same_model():
     b = train_meta(samples, cfg)
     prefix = np.full(10, 6.0)
     assert a.predict_batch([prefix])[0] == b.predict_batch([prefix])[0]
+
+
+def test_predictor_fit_holds_one_recorded_cache_at_a_time(monkeypatch):
+    """A minibatch's cache, every decoder step's tapes, dies before the next
+    minibatch records its own: two at once raised the fit's peak by a cache."""
+    from treecell.meta import _Seq2Seq
+
+    # the last slot of the first decoder step's bottom-layer tape, an op output
+    alive = watch_cache_lifetimes(
+        monkeypatch, _Seq2Seq, "forward",
+        lambda cache: cache["dec"][0]["stack"][0]["tapes"][0][-1])
+    cfg = MetaConfig(width=8, layers=2, epochs=2, batch_size=40, patience=2, seed=7)
+    train_meta(constant_family(120, seed=3), cfg)
+    assert alive and not any(alive)
 
 
 def test_duplication_invariance_of_loss_and_gradients():

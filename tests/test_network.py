@@ -36,6 +36,7 @@ from oracles import (
     global_norm,
     step_major_backward_chunk,
     step_major_forward_chunk,
+    watch_cache_lifetimes,
 )
 
 
@@ -376,6 +377,22 @@ def test_parameters_and_gradients_are_views_of_one_flat_vector():
         assert_views_of_flat(grads)
         assert_views_of_flat(net.params)
         assert net.param_count() == net.params.flat.size
+
+
+def test_training_holds_one_recorded_chunk_cache_at_a_time(monkeypatch):
+    """A chunk's cache dies before the next chunk records its own."""
+    from treecell.network import Network
+
+    task = delayed_copy_task(vocab_size=5, delay=2, train_tokens=400,
+                             valid_tokens=200, test_tokens=200, seed=0)
+    net = build_network(homogeneous_spec(6, 1, 4, vocab_size=5), [lstm_reference_tree()],
+                        rng_for(1))
+    # the last slot of the first step's tape: an op output, not a carried state
+    alive = watch_cache_lifetimes(monkeypatch, Network, "forward_chunk",
+                                  lambda cache: cache["layers"][0]["tapes"][0][-1])
+    train(net, task, TrainConfig(unroll_steps=10, batch_size=4, epochs=2,
+                                 optimizer="adam", lr=0.01, seed=2))
+    assert alive and not any(alive)
 
 
 def test_flat_adam_matches_per_parameter_adam_bit_for_bit():
