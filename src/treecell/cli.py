@@ -103,7 +103,10 @@ def cmd_evolve(args) -> int:
                          f"{config.evolution.partial_epochs}")
         if not config.paths.meta_model:
             return _fail("meta_predicted fitness requires paths.meta_model")
-        predictor = meta.load_model(config.paths.meta_model)
+        try:
+            predictor = meta.load_model(config.paths.meta_model)
+        except (OSError, ValueError) as exc:
+            return _fail(str(exc))
     try:
         ctx = EvalContext(config)
     except (OSError, ValueError) as exc:
@@ -206,6 +209,10 @@ def cmd_hetero(args) -> int:
             genomes.extend(read_population(f))
         except ParseError as exc:
             return _fail(f"{f}:{exc}")
+        except UnicodeDecodeError as exc:
+            return _fail(f"{f}: not UTF-8 text ({exc.reason})")
+        except OSError as exc:
+            return _fail(f"{f}: {exc.strerror or exc}")
     if not genomes:
         return _fail("pool contains no genomes")
     cardinality = config.network.cardinality

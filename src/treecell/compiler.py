@@ -6,8 +6,10 @@ ten input slots (x0..x7, cprev, dprev).  Identical subtrees share one op
 elementwise over arbitrarily shaped unit arrays.  Each distinct op list
 is turned, once per process, into Python source for two straight-line
 numpy functions: a forward step that keeps every slot in a local, and
-its reverse, which replays the forward tape and accumulates exact
-adjoints, including through input reuse and the c/d output taps.  Both
+its reverse, which reads the forward tape and accumulates exact adjoints,
+including through input reuse and the c/d output taps.  The tape holds
+only the slots the reverse reads, so a cell whose reverse reads no base
+input does not keep its layer's projection alive.  Both
 keep numpy calls few, since at small widths each call's fixed cost is
 most of its price: sigmoid needs no branch, an adjoint an add passes on
 unchanged gets no line of its own, and equal adjacent base adjoints are
@@ -114,8 +116,10 @@ def cell_forward(cell: CompiledCell, base_inputs, state: CellState,
     """One step of the cell, elementwise per unit.
 
     ``base_inputs`` holds the eight tree inputs, shape (8, *unit_shape);
-    returns the new CellState, plus the forward tape (the value of every
-    slot, indexed by slot) when ``record``.  Untapped outputs pass the
+    returns the new CellState, plus the forward tape when ``record``: a list
+    indexed by slot that holds the value of each slot :func:`cell_backward`
+    reads (the arguments of mul and relu, the outputs of tanh and sigmoid,
+    and h) and None at every other slot.  Untapped outputs pass the
     previous memory value through unchanged.  Inputs are not checked for
     inf or NaN here: :class:`network.RecurrentLayers` checks a whole
     chunk's cell inputs once per layer.
@@ -170,6 +174,20 @@ _RULES = {
 }
 
 
+def _taped_slots(ops, h_slot: int) -> set[int]:
+    """The slots a tape keeps, those the reverse reads: each argument or
+    output that an op's adjoint terms name (the arguments of mul and relu,
+    the outputs of tanh and sigmoid), and h, whose dtype the adjoints take
+    and which the layer keeps anyway."""
+    kept = {h_slot}
+    for slot, op in enumerate(ops, N_INPUT_SLOTS):
+        terms = "".join(_RULES[op.func][1])
+        kept.update(arg for i, arg in enumerate(op.args) if f"{{{i}}}" in terms)
+        if "{out}" in terms:
+            kept.add(slot)
+    return kept
+
+
 def _adjoint_buffer(shape, dtype) -> np.ndarray:
     """An uninitialised (8, *shape) array stored as (*shape[:-1], 8, shape[-1]).
 
@@ -184,7 +202,8 @@ def _adjoint_buffer(shape, dtype) -> np.ndarray:
 def _kernel_source(ops, h_slot: int, c_slots, d_slots) -> str:
     """Python source of ``forward`` and ``backward`` for one op list.
 
-    Slots are locals ``v<slot>`` and adjoints ``g<slot>``.  The backward
+    Slots are locals ``v<slot>`` and adjoints ``g<slot>``.  The tape lists
+    every slot, with None where the backward reads nothing.  The backward
     walks the ops in reverse and adds each contribution to an adjoint in
     the order a slot-by-slot replay of the tape would, so the rounding of
     every sum is fixed by the op list alone.  An adjoint that equals
@@ -194,16 +213,18 @@ def _kernel_source(ops, h_slot: int, c_slots, d_slots) -> str:
     hold the same adjoint, or zero, are filled by one slice assignment.
     """
     n = N_INPUT_SLOTS + len(ops)
-    tape = ", ".join(f"v{s}" for s in range(n))
+    kept = _taped_slots(ops, h_slot)
+    fwd_tape = ", ".join(f"v{s}" if s in kept else "None" for s in range(n))
+    bwd_tape = ", ".join(f"v{s}" if s in kept else "_" for s in range(n))
     fwd = ["def forward(base, v8, v9):",
            "    " + ", ".join(f"v{k}" for k in range(T.N_BASE_INPUTS)) + " = base"]
     for slot, op in enumerate(ops, N_INPUT_SLOTS):
         fwd.append(f"    v{slot} = " + _RULES[op.func][0].format(*(f"v{s}" for s in op.args)))
     c = " + ".join(f"v{s}" for s in c_slots) or f"v{SLOT_CPREV}"
     d = " + ".join(f"v{s}" for s in d_slots) or f"v{SLOT_DPREV}"
-    fwd.append(f"    return v{h_slot}, {c}, {d}, [{tape}]")
+    fwd.append(f"    return v{h_slot}, {c}, {d}, [{fwd_tape}]")
 
-    bwd = ["def backward(tape, gh, gc, gd, base):", f"    {tape} = tape"]
+    bwd = ["def backward(tape, gh, gc, gd, base):", f"    {bwd_tape} = tape"]
     alias: dict[int, str] = {}   # adjoint -> the name of the one it equals
     seen: set[int] = set()
 

@@ -11,12 +11,15 @@ is simply reading the epoch-10 value.
 Training records one cache per minibatch (every decoder step's tapes) and
 drops it once its gradients are taken, so at most one cache is alive
 during the fit.  A 30-step member's cache at width 40, two layers and
-batch 50 holds about 21 MB.
+batch 50 holds about 9 MB: the tapes keep only what the reverse reads,
+and the gated cell's reverse reads no base input, so no step's
+projection stays alive.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -357,24 +360,37 @@ def save_model(model: CurvePredictor, path) -> None:
 
 
 def load_model(path) -> CurvePredictor:
-    with np.load(path, allow_pickle=False) as blob:
-        if str(blob["format"]) != "treecell-meta":
-            raise ValueError("not a curve-predictor checkpoint")
-        if int(blob["version"]) != 1:
-            raise ValueError(f"unsupported checkpoint version {blob['version']}")
-        meta = json.loads(str(blob["config"]))
+    """The predictor :func:`save_model` wrote to ``path``.
+
+    Raises OSError when the file cannot be read, and ValueError when it is
+    not a whole curve-predictor checkpoint: another kind of file, a
+    truncated one, or one that lacks an entry.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as blob:
+            arrays = dict(blob)
+    except (EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"not a curve-predictor checkpoint: {path}") from exc
+    if str(arrays.get("format")) != "treecell-meta":
+        raise ValueError(f"not a curve-predictor checkpoint: {path}")
+    try:
+        if int(arrays["version"]) != 1:
+            raise ValueError(f"unsupported checkpoint version {arrays['version']}")
+        meta = json.loads(str(arrays["config"]))
         config = MetaConfig(width=meta["width"], layers=meta["layers"],
                             decoder_lens=tuple(meta["decoder_lens"]),
                             seed=meta["seed"])
         model = CurvePredictor(config)
         for i in range(len(config.decoder_lens)):
-            member = _Seq2Seq(int(blob[f"member{i}/decoder_len"]), config,
+            member = _Seq2Seq(int(arrays[f"member{i}/decoder_len"]), config,
                               np.random.Generator(np.random.PCG64(0)))
             for k, param in member.params.items():
-                saved = blob[f"member{i}/{k}"]
+                saved = arrays[f"member{i}/{k}"]
                 if saved.shape != param.shape:
                     raise ValueError(f"member{i}/{k} has shape {saved.shape}, "
                                      f"expected {param.shape}")
                 param[...] = saved
             model.members.append(member)
+    except KeyError as exc:
+        raise ValueError(f"not a curve-predictor checkpoint: {path} has no {exc}") from exc
     return model

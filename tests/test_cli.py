@@ -348,6 +348,57 @@ def test_hetero_pool_parse_error_is_clean_error(tmp_path, genome_file, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("problem, message", [
+    ("not UTF-8", "bad.txt: not UTF-8 text (invalid start byte)"),
+    ("unreadable", "bad.txt: Permission denied"),
+])
+def test_hetero_unreadable_pool_file_is_clean_error(tmp_path, genome_file, capsys,
+                                                    monkeypatch, problem, message):
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    (pool / "bad.txt").write_bytes(genome_file.read_bytes() + b"\xff\xfe\n")
+    if problem == "unreadable":
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(cli, "read_population", refuse)
+    out = tmp_path / "hetero.csv"
+    assert main(["hetero", str(pool), "--config", str(tiny_config(tmp_path)),
+                 "--count", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {pool / message}\n"
+    assert not out.exists()
+
+
+def _bad_meta_model(tmp_path, problem) -> Path:
+    path = tmp_path / "model.npz"
+    if problem == "foreign":
+        np.savez(path, weights=np.zeros(3))
+    elif problem == "truncated":
+        samples, _ = synthetic_curves(100, seed=8)
+        save_model(train_meta(samples, MetaConfig(width=2, layers=1, epochs=1)), path)
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+    return path
+
+
+@pytest.mark.parametrize("problem, message", [
+    ("missing", "No such file or directory"),
+    ("foreign", "not a curve-predictor checkpoint"),
+    ("truncated", "not a curve-predictor checkpoint"),
+])
+@pytest.mark.parametrize("command", ["evolve", "meta predict"])
+def test_bad_meta_model_is_clean_error(tmp_path, capsys, command, problem, message):
+    model = _bad_meta_model(tmp_path, problem)
+    if command == "evolve":
+        cfg = tiny_config(tmp_path, **{"evolution.fitness_mode": "meta_predicted",
+                                       "evolution.partial_epochs": 10,
+                                       "paths.meta_model": str(model)})
+        argv = ["evolve", "--config", str(cfg), "--out", str(tmp_path / "run")]
+    else:
+        argv = ["meta", "predict", "--model", str(model), "--curve", ",".join(["5"] * 10)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and str(model) in err
+
+
 def test_train_at_32_bit_precision(tmp_path, genome_file):
     cfg = tiny_config(tmp_path)
     out = tmp_path / "curve32.csv"

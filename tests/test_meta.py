@@ -277,6 +277,29 @@ def test_load_model_rejects_a_parameter_of_the_wrong_shape(tmp_path, constant_mo
         load_model(path)
 
 
+def test_load_model_rejects_a_foreign_truncated_or_incomplete_file(tmp_path, constant_model):
+    model, _ = constant_model
+    path = tmp_path / "meta.npz"
+    save_model(model, path)
+    whole = path.read_bytes()
+    with np.load(path) as blob:
+        arrays = dict(blob)
+    del arrays["member1/head.W"]
+    incomplete = tmp_path / "incomplete.npz"
+    np.savez(incomplete, **arrays)
+    foreign = tmp_path / "foreign.npz"
+    np.savez(foreign, weights=np.zeros(3))
+    single = tmp_path / "single.npy"
+    np.save(single, np.zeros(3))
+    bad = [incomplete, foreign, single]
+    for n in (0, 3, 100, len(whole) // 2, len(whole) - 1):
+        bad.append(tmp_path / f"cut{n}.npz")
+        bad[-1].write_bytes(whole[:n])
+    for file in bad:
+        with pytest.raises(ValueError, match="not a curve-predictor checkpoint"):
+            load_model(file)
+
+
 def test_crossing_family_beats_baseline(crossing_model):
     model, _ = crossing_model
     test_s, _ = synthetic_curves(80, seed=77)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,6 +394,43 @@ def test_training_holds_one_recorded_chunk_cache_at_a_time(monkeypatch):
     train(net, task, TrainConfig(unroll_steps=10, batch_size=4, epochs=2,
                                  optimizer="adam", lr=0.01, seed=2))
     assert alive and not any(alive)
+
+
+def _mib_held(record):
+    """MiB that numpy and Python hold, by ``tracemalloc``, in what ``record()``
+    returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = record()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del result
+    return held / 2**20
+
+
+def test_recorded_predictor_minibatch_holds_no_projection():
+    """A tape keeps only what the reverse reads, so a 30-step member's
+    recorded minibatch at the predictor's shape (width 40, two layers, batch
+    50) keeps no step's projection alive: about 8.9 MiB, where the
+    projections alone take about 12."""
+    from treecell.meta import MetaConfig, _Seq2Seq
+
+    member = _Seq2Seq(30, MetaConfig(width=40, layers=2), rng_for(0))
+    prefix_log = np.log(rng_for(1).uniform(2.0, 10.0, size=(50, 10)))
+    assert _mib_held(lambda: member.forward(prefix_log, record=True)) < 10.6
+
+
+def test_recorded_desk_chunk_of_the_seed_tree_is_small():
+    """The seed tree's reverse reads no base input, so its recorded chunk at
+    the desk shape (width 24, batch 20, 35 steps) holds about 0.39 MiB and
+    no (35, 20, 192) projection (1 MiB)."""
+    net = build_network(homogeneous_spec(24, 1, 12, vocab_size=8), [seed_tree()],
+                        rng_for(1))
+    tokens = rng_for(2).integers(0, 8, size=(20, 35))
+    assert _mib_held(lambda: net.forward_chunk(tokens, net.zero_states(20),
+                                               record=True)) < 1.0
 
 
 def test_flat_adam_matches_per_parameter_adam_bit_for_bit():
