@@ -11,12 +11,14 @@ speed does not favour one side.  Then prints, for each end-to-end metric
 that ``BENCHMARK.json`` declares, both sides' medians and interquartile
 ranges, the change of the median, and in how many pairs the change side was
 better.  A change is "beyond IQR" when its median is better than the
-parent's by more than the parent's interquartile range.
+parent's by more than the parent's interquartile range, and "over bound"
+when its median is worse than the parent's by more than the metric's
+``bound`` in ``BENCHMARK.json``, a fraction of the parent's median.
 
 Every pair must do the same work: both runs' unit output digests and exact
 counts, read from the ``detail:`` line that perfbench prints on standard
 error, must be equal.  The exit code is 1 when a run fails, reports failed
-operations, or a pair's digests or counts differ.
+operations, a pair's digests or counts differ, or a metric is over bound.
 """
 
 from __future__ import annotations
@@ -64,9 +66,11 @@ def quartiles(values) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def summarize(pairs, metrics) -> list[dict]:
+def summarize(pairs, metrics, bounds=None) -> list[dict]:
     """One row per metric over the pairs, each a {side: metrics} dict;
-    ``metrics`` maps a name to "lower" or "higher", the better direction."""
+    ``metrics`` maps a name to "lower" or "higher", the better direction,
+    and ``bounds`` a name to the fraction by which its median may worsen."""
+    bounds = bounds or {}
     rows = []
     for name, better in metrics.items():
         a = [p["parent"][name] for p in pairs]
@@ -77,7 +81,9 @@ def summarize(pairs, metrics) -> list[dict]:
                      "delta_pct": (bm - am) / am * 100.0,
                      "parent_iqr": (a1, a3), "change_iqr": (b1, b3),
                      "wins": sum(sign * (y - x) > 0 for x, y in zip(a, b)),
-                     "beyond_iqr": sign * (bm - am) > a3 - a1})
+                     "beyond_iqr": sign * (bm - am) > a3 - a1,
+                     "bound": bounds.get(name),
+                     "over_bound": name in bounds and -sign * (bm - am) > bounds[name] * abs(am)})
     return rows
 
 
@@ -93,6 +99,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
 
     pairs, problems = [], []
@@ -119,13 +126,20 @@ def main(argv=None) -> int:
           f"and counts, seeds {args.seeds[0]}..{args.seeds[-1]}, --seconds {args.seconds:g}")
     if pairs:
         print(f"{'metric':14s} {'parent':>10s} {'change':>10s} {'delta':>8s} "
-              f"{'parent IQR':>21s} {'change IQR':>21s} {'wins':>7s}  beyond IQR")
-        for r in summarize(pairs, metrics):
+              f"{'parent IQR':>21s} {'change IQR':>21s} {'bound':>10s} {'wins':>7s}"
+              f"  beyond IQR")
+        for r in summarize(pairs, metrics, bounds):
+            bound = f"{r['bound']:.0%} {'OVER' if r['over_bound'] else 'ok'}"
             print(f"{r['metric']:14s} {r['parent']:10.4g} {r['change']:10.4g} "
                   f"{r['delta_pct']:+7.2f}% "
                   f"{r['parent_iqr'][0]:10.4g}-{r['parent_iqr'][1]:<10.4g} "
                   f"{r['change_iqr'][0]:10.4g}-{r['change_iqr'][1]:<10.4g} "
+                  f"{bound:>10s} "
                   f"{r['wins']:>3d}/{len(pairs):<3d}  {'yes' if r['beyond_iqr'] else 'no'}")
+            if r["over_bound"]:
+                problems.append(f"{r['metric']}: change median {r['delta_pct']:+.2f}% "
+                                f"is worse than the parent's by more than its "
+                                f"{r['bound']:.0%} bound")
     for problem in problems:
         print(f"problem: {problem}")
     return 1 if problems else 0

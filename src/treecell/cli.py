@@ -22,7 +22,7 @@ import numpy as np
 
 from . import evolution, meta
 from .config import ExperimentConfig, emit_config, load_config
-from .fitness import EvalContext, _eval_in_worker, _init_worker, stable_seed
+from .fitness import EvalContext, _eval_in_worker, _init_worker, keep_freed_heap, stable_seed
 from .genetic import tree_distance
 from .grammar import ParseError, parse, read_population, serialize
 from .network import heterogeneous_layer
@@ -202,6 +202,8 @@ def cmd_hetero(args) -> int:
     pool_dir = Path(args.pool)
     if not pool_dir.exists():
         return _fail(f"pool path {pool_dir} does not exist")
+    if not pool_dir.is_dir():
+        return _fail(f"{pool_dir}: not a directory")
     files = sorted(p for p in pool_dir.iterdir() if p.is_file())
     genomes = []
     for f in files:
@@ -308,6 +310,16 @@ def cmd_meta(args) -> int:
 # --- parser -------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treecell",
@@ -323,7 +335,7 @@ def make_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--resume", action="store_true",
                    help="continue from the checkpoint in the output directory")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=cmd_evolve)
 
@@ -338,7 +350,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hetero", help="random heterogeneous network sweep")
     p.add_argument("pool", help="directory of genome files")
     common(p)
-    p.add_argument("--count", type=int, required=True,
+    p.add_argument("--count", type=_int_at_least(0), required=True,
                    help="number of networks to build")
     p.add_argument("--out", default=None, help="ranked results CSV")
     p.set_defaults(func=cmd_hetero)
@@ -365,6 +377,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_freed_heap()
     args = make_parser().parse_args(argv)
     if getattr(args, "config", None) is not None:
         try:

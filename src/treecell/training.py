@@ -156,17 +156,40 @@ def make_optimizer(config: TrainConfig):
 
 
 def clip_gradients(grads, max_norm: float) -> float:
-    """Scale all gradients so the global norm is at most max_norm."""
+    """Scale ``grads`` (a ``FlatParams``) so the global norm is at most
+    max_norm.
+
+    The norm adds one sum per entry, in layout order.  Each is rounded as
+    ``np.sum(g * g)`` rounds it; one ``reduceat`` over the flat squares
+    would not round the same.
+    """
+    squares = grads.flat * grads.flat
     total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
+    for _, lo, hi, _ in grads.layout:
+        total += float(np.add.reduce(squares[lo:hi]))
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
-        scale = max_norm / (norm + 1e-12)
-        for k in grads:
-            grads[k] *= scale
+        grads.flat *= max_norm / (norm + 1e-12)
         return max_norm
     return norm
+
+
+def _l2_ranges(layout) -> list[tuple[int, int]]:
+    """The flat ranges of the runs of adjacent entries in ``layout`` that
+    have two or more dimensions, the entries the L2 term decays.
+
+    Ranges rather than a 0/1 mask leave 1-D entries untouched, and with them
+    the sign of a zero gradient.
+    """
+    ranges: list[tuple[int, int]] = []
+    for _, lo, hi, shape in layout:
+        if len(shape) < 2:
+            continue
+        if ranges and ranges[-1][1] == lo:
+            ranges[-1] = (ranges[-1][0], hi)
+        else:
+            ranges.append((lo, hi))
+    return ranges
 
 
 # --- dropout masks ----------------------------------------------------------------
@@ -268,6 +291,7 @@ def train(network: Network, task: SequenceTask, config: TrainConfig) -> Training
     is_tokens = task.kind == "tokens"
     curve = TrainingCurve("perplexity" if is_tokens else "f1")
     length = x.shape[1]
+    decayed = _l2_ranges(network.params.layout) if config.l2 > 0 else []
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
         optimizer.epoch = epoch
@@ -294,10 +318,8 @@ def train(network: Network, task: SequenceTask, config: TrainConfig) -> Training
             with np.errstate(over="ignore", invalid="ignore"):
                 grads = network.backward_chunk(cache, dlogits)
             del cache  # or it stays alive through the next chunk's forward
-            if config.l2 > 0:
-                for k, p in network.params.items():
-                    if p.ndim >= 2:
-                        grads[k] += config.l2 * p
+            for lo, hi in decayed:
+                grads.flat[lo:hi] += config.l2 * network.params.flat[lo:hi]
             clip_gradients(grads, config.grad_clip_norm)
             optimizer.step(network.params, grads)
         try:

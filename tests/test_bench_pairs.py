@@ -24,6 +24,8 @@ print("detail: " + json.dumps({"units": units}), file=sys.stderr)
 fast = side == "change"
 metrics = {"wall_s": 2.0 - fast + seed / 100, "genomes_per_s": 1.0 + fast,
            "steps_per_s": 10.0 + fast, "peak_rss_mb": 60.0 - fast, "setup_s": 0.2}
+if fast and seed >= 20:  # worse by 1/6 (bound 10%) and by 10% (bound 25%)
+    metrics.update(peak_rss_mb=70.0, setup_s=0.22)
 print(json.dumps({"correct": True, "attempted": 2, "failed": 0,
                   "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}))
 """
@@ -70,6 +72,22 @@ def test_a_pair_whose_digests_differ_is_reported(checkouts, capsys):
     out = capsys.readouterr().out
     assert "1 of 2 pairs with equal digests and counts" in out
     assert "problem: seed 13: digests differ: ['d13'] != ['d13x']" in out
+
+
+def test_a_metric_worse_than_its_bound_is_reported(checkouts, capsys):
+    bench_pairs = _load_script()
+    argv = [str(checkouts / "parent"), str(checkouts / "change"), "--workload", "w",
+            "--seeds", "20-22", "--seconds", "1"]
+    assert bench_pairs.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "3 of 3 pairs with equal digests and counts" in out
+    rows = {line.split()[0]: line for line in out.splitlines()[2:]}
+    assert rows["peak_rss_mb"].split()[-4:] == ["10%", "OVER", "0/3", "no"]
+    assert rows["setup_s"].split()[-4:] == ["25%", "ok", "0/3", "no"]
+    assert rows["wall_s"].split()[-4:] == ["25%", "ok", "3/3", "yes"]
+    assert ("problem: peak_rss_mb: change median +16.67% is worse than the parent's "
+            "by more than its 10% bound") in out
+    assert "problem: setup_s" not in out
 
 
 def test_summary_quartiles_and_wins():

@@ -1,16 +1,23 @@
 import json
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from treecell import cli
+from treecell import cli, fitness
 from treecell.cli import main
-from treecell.config import ExperimentConfig, save_config
+from treecell.config import ExperimentConfig, emit_config, load_config, save_config
 from treecell.grammar import parse, serialize
 from treecell.genetic import random_genome
 from treecell.meta import (MetaConfig, load_model, save_model, save_samples_csv,
                            synthetic_curves, train_meta)
+from treecell.tree import seed_tree
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def tiny_config(tmp_path, **overrides) -> Path:
@@ -348,6 +355,30 @@ def test_hetero_pool_parse_error_is_clean_error(tmp_path, genome_file, capsys):
     assert not out.exists()
 
 
+def test_hetero_pool_path_that_is_a_file_is_clean_error(tmp_path, genome_file, capsys):
+    out = tmp_path / "hetero.csv"
+    assert main(["hetero", str(genome_file), "--config", str(tiny_config(tmp_path)),
+                 "--count", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {genome_file}: not a directory\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evolve", "--workers", "0"], "argument --workers: must be at least 1, got 0"),
+    (["evolve", "--workers", "-1"], "argument --workers: must be at least 1, got -1"),
+    (["hetero", "POOL", "--count", "-2"], "argument --count: must be at least 0, got -2"),
+    (["hetero", "POOL", "--count", "two"], "argument --count: invalid integer value: 'two'"),
+])
+def test_bad_counts_are_rejected_at_parse_time(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    argv = [str(tmp_path) if a == "POOL" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(tiny_config(tmp_path)), "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("problem, message", [
     ("not UTF-8", "bad.txt: not UTF-8 text (invalid start byte)"),
     ("unreadable", "bad.txt: Permission denied"),
@@ -526,3 +557,102 @@ def test_evolve_refuses_version_1_checkpoint(tmp_path, capsys):
     assert main(["evolve", "--config", str(cfg), "--out", str(out_dir),
                  "--resume"]) == 1
     assert "unsupported checkpoint version" in capsys.readouterr().err
+
+
+# --- the allocator setting --------------------------------------------------------
+
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+# after cli.main has run, one warm-up epoch of a desk genome, then the minor
+# page faults of one more epoch, for the LSTM reference tree and the seed tree
+HEAP_PROBE = """
+import json, resource, sys
+from treecell import cli
+from treecell.compiler import lstm_reference_tree
+from treecell.config import load_config
+from treecell.fitness import EvalContext
+from treecell.grammar import serialize
+from treecell.tree import seed_tree
+config, genome = sys.argv[1:]
+assert cli.main(["validate", genome]) == 0
+ctx = EvalContext(load_config(config))
+faults = {}
+for name, tree in (("lstm", lstm_reference_tree()), ("seed", seed_tree())):
+    ctx.train_genome(serialize(tree), epochs=1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    ctx.train_genome(serialize(tree), epochs=1)
+    faults[name] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the allocator setting applies to glibc only")
+def test_cli_keeps_freed_heap_between_training_chunks(tmp_path):
+    # without the setting, the LSTM's warm epoch faulted about 2,800 times
+    # (glibc trims the heap top after chunks); with it, under 10
+    genome = tmp_path / "seed.genome"
+    genome.write_text(serialize(seed_tree()) + "\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", HEAP_PROBE,
+                           str(ROOT / "configs" / "desk_evolution.ini"), str(genome)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads(proc.stdout.splitlines()[-1])
+    assert max(faults.values()) < 500, faults
+
+
+def test_keep_freed_heap_is_a_no_op_off_glibc(monkeypatch):
+    def no_libc(*args):
+        raise AssertionError("loaded the C library off glibc")
+
+    monkeypatch.setattr(fitness.ctypes, "CDLL", no_libc)
+
+    def unknown_name(name):
+        raise ValueError("unrecognized configuration name")
+
+    for confstr in (unknown_name, lambda name: None, lambda name: ""):
+        monkeypatch.setattr(fitness.os, "confstr", confstr)
+        assert fitness.keep_freed_heap() is False
+    monkeypatch.delattr(fitness.os, "confstr")
+    assert fitness.keep_freed_heap() is False
+
+
+def test_keep_freed_heap_sets_the_mmap_threshold_before_the_trim(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return int(accept)
+
+    monkeypatch.setattr(fitness.os, "confstr", lambda name: "glibc 2.99", raising=False)
+    monkeypatch.setattr(fitness.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    assert fitness.keep_freed_heap() is False  # a libc without mallopt
+    monkeypatch.setattr(fitness.ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace(mallopt=mallopt))
+    accept = True
+    assert fitness.keep_freed_heap() is True
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    # a refused mmap threshold leaves the trim threshold alone: setting it
+    # alone would send every block over 128 KiB to mmap
+    calls.clear()
+    accept = False
+    assert fitness.keep_freed_heap() is False
+    assert calls == [(-3, 32 << 20)]
+
+
+def test_cli_and_pool_workers_apply_the_allocator_setting(tmp_path, genome_file,
+                                                          monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(fitness, "_WORKER_CTX", {})
+    monkeypatch.setattr(fitness, "keep_freed_heap", lambda: calls.append("worker"))
+    monkeypatch.setattr(cli, "keep_freed_heap", lambda: calls.append("cli"))
+    fitness._init_worker(emit_config(load_config(tiny_config(tmp_path))))
+    assert main(["validate", str(genome_file)]) == 0
+    assert calls == ["worker", "cli"]

@@ -10,6 +10,7 @@ from treecell.compiler import CellState, compile_tree, lstm_reference_tree
 from treecell.data import delayed_copy_task, make_streams
 from treecell.genetic import random_genome
 from treecell.network import (
+    FlatParams,
     LayerSpec,
     NetworkSpec,
     RecurrentLayers,
@@ -22,6 +23,7 @@ from treecell.training import (
     Adam,
     TrainConfig,
     TrainingDiverged,
+    _l2_ranges,
     clip_gradients,
     draw_masks,
     eval_perplexity,
@@ -225,13 +227,74 @@ def test_state_carryover_chunked_equals_single_pass():
 
 
 def test_gradient_clipping_bounds_global_norm():
-    grads = {"a": np.full((10, 10), 3.0), "b": np.full(7, -2.0)}
+    grads = FlatParams.pack({"a": np.full((10, 10), 3.0), "b": np.full(7, -2.0)})
     clip_gradients(grads, 10.0)
     assert global_norm(grads) <= 10.0 + 1e-9
-    small = {"a": np.full(3, 0.1)}
+    small = FlatParams.pack({"a": np.full(3, 0.1)})
     norm_before = global_norm(small)
     clip_gradients(small, 10.0)
     assert global_norm(small) == pytest.approx(norm_before)
+
+
+def _decay_and_clip_per_entry(grads, params, l2, max_norm) -> float:
+    """The per-entry L2 term and clip that ``train`` ran before both went flat."""
+    for k, p in params.items():
+        if p.ndim >= 2:
+            grads[k] += l2 * p
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    norm = float(np.sqrt(total))
+    if max_norm > 0 and norm > max_norm:
+        scale = max_norm / (norm + 1e-12)
+        for k in grads:
+            grads[k] *= scale
+        return max_norm
+    return norm
+
+
+def test_flat_l2_and_clip_match_the_per_entry_loops_bit_for_bit():
+    rng = rng_for(15)
+    clipped = kept_negative_zeros = 0
+    for case in range(120):
+        dtype = np.float32 if case % 3 == 0 else np.float64
+        shapes = []
+        for _ in range(rng.integers(2, 9)):
+            dims = rng.integers(1, 200, size=rng.integers(1, 3))
+            shapes.append(tuple(int(d) for d in dims))
+        params = FlatParams.pack({f"p{i}": rng.normal(size=s).astype(dtype)
+                                  for i, s in enumerate(shapes)})
+        grads = FlatParams.pack({
+            f"p{i}": rng.normal(scale=rng.choice([1e-3, 1.0]), size=s).astype(dtype)
+            for i, s in enumerate(shapes)})
+        # zeros of both signs in every entry; the L2 term must leave a 1-D
+        # entry's -0.0 as it is
+        grads.flat[::7] = -0.0
+        grads.flat[3::7] = 0.0
+        old = {k: g.copy() for k, g in grads.items()}
+        max_norm = 10.0 if case % 2 else 1e9
+        want = _decay_and_clip_per_entry(old, params, 1e-4, max_norm)
+        for lo, hi in _l2_ranges(params.layout):
+            grads.flat[lo:hi] += 1e-4 * params.flat[lo:hi]
+        got = clip_gradients(grads, max_norm)
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), case
+        bits = f"i{grads.flat.itemsize}"
+        for k, g in grads.items():
+            assert np.array_equal(g.view(bits), old[k].view(bits)), (case, k)
+            if g.ndim == 1:
+                kept_negative_zeros += np.count_nonzero((g == 0) & np.signbit(g))
+        clipped += want == max_norm
+    assert clipped > 30
+    assert kept_negative_zeros > 0
+
+
+def test_l2_ranges_join_adjacent_matrices():
+    net = build_network(homogeneous_spec(24, 1, 12, vocab_size=8), [seed_tree()], rng_for(0))
+    names = [name for name, *_ in net.params.layout]
+    assert names == ["embedding", "layer0.W", "layer0.U", "layer0.b", "head.W", "head.b"]
+    spans = {name: (lo, hi) for name, lo, hi, _ in net.params.layout}
+    assert _l2_ranges(net.params.layout) == [
+        (0, spans["layer0.U"][1]), spans["head.W"]]
 
 
 def test_training_deterministic_given_seed():
