@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import io
 import math
 import os
 import sys
@@ -30,13 +31,15 @@ from .training import TrainingDiverged
 from .tree import validate as validate_tree
 
 
-def atomic_write(path, content: str) -> None:
+def atomic_write(path, content: str | bytes) -> None:
+    """Write ``content`` (text as UTF-8) to a temp file beside ``path``, then
+    rename it over ``path``; an interrupted write leaves ``path`` as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(content)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(content.encode("utf-8") if isinstance(content, str) else content)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -275,6 +278,8 @@ def cmd_validate(args) -> int:
 
 def cmd_meta(args) -> int:
     if args.action == "train":
+        if not args.dataset:
+            return _fail("provide --dataset CURVES.csv")
         try:
             samples = meta.load_samples_csv(args.dataset)
         except (OSError, ValueError) as exc:
@@ -287,11 +292,14 @@ def cmd_meta(args) -> int:
         except ValueError as exc:
             return _fail(str(exc))
         out = args.out or "meta_model.npz"
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        meta.save_model(model, out)
+        blob = io.BytesIO()
+        meta.save_model(model, blob)
+        atomic_write(out, blob.getvalue())
         print(f"saved model to {out}")
         return 0
     # predict
+    if not args.model:
+        return _fail("provide --model MODEL.npz")
     try:
         model = meta.load_model(args.model)
     except (OSError, ValueError) as exc:

@@ -93,7 +93,7 @@ def compile_tree(tree: NodeTree) -> CompiledCell:
     node_to_slot: dict[int, int] = {}
     for nid in tree.postorder():
         node = tree.nodes[nid]
-        if T.is_leaf(node.kind):
+        if node.kind in T.LEAVES:
             node_to_slot[nid] = leaf_slot[node.kind]
             continue
         args = tuple(node_to_slot[c] for c in node.children)

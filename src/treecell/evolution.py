@@ -110,7 +110,7 @@ class RunState:
     def best_genome(self) -> NodeTree:
         # nothing finite: the population's first genome, untrained, since no
         # stats row or checkpoint would show its curve
-        return parse(best_of(self.records)[1] or genome_key(self.population[0]))
+        return parse(best_of(self.records)[1] or canonical_text(self.population[0]))
 
     def to_json(self, lineage_bytes: int) -> str:
         """The checkpoint text; ``lineage_bytes`` is the lineage log's length."""
@@ -231,10 +231,6 @@ def replay_line(line: str, config: EvolutionConfig) -> str:
     return serialize(_operate(op, parents, config, int(generation), int(key)))
 
 
-def genome_key(tree: NodeTree) -> str:
-    return canonical_text(tree)
-
-
 def evaluate_generation(population, evaluator, records, fitness_mode, keys=None,
                         pool=None, predictor=None) -> dict[str, FitnessRecord]:
     """Fill the record cache for every genome in ``population``.
@@ -248,7 +244,7 @@ def evaluate_generation(population, evaluator, records, fitness_mode, keys=None,
     fitness is ``predictor``'s extrapolated final metric, all predicted in
     one batch in sorted key order; a record keeps its fitness for good.
     """
-    keys = keys if keys is not None else [genome_key(g) for g in population]
+    keys = keys if keys is not None else [canonical_text(g) for g in population]
     pending = sorted({k for k in keys if k not in records})
     if pool is not None:
         curves = dict(zip(pending, pool.map(evaluator, pending)))
@@ -386,7 +382,7 @@ def run(config: EvolutionConfig, evaluator, predictor=None,
 
     for gen in range(state.next_generation, config.generations):
         population = state.population
-        keys = [genome_key(g) for g in population]
+        keys = [canonical_text(g) for g in population]
         assignment = speciate(dict(zip(keys, population)), spec_state, gen)
         active_ids = {sp.id for sp in spec_state.species if sp.state == ACTIVE}
         eval_keys = [k for k in keys if assignment[k] in active_ids]

@@ -131,14 +131,14 @@ def mutate_replace(tree: NodeTree, rng: np.random.Generator) -> NodeTree:
     a rule the target is resampled up to the retry budget, after which the
     input is returned unchanged.
     """
-    targets = list(T.iter_element_ids(tree))
+    targets = [nid for nid in tree.preorder() if tree.nodes[nid].kind in T.ELEMENTS]
     if not targets:
         return tree
     budget = _violation_budget(tree)
     for _ in range(RETRY_BUDGET):
         nid = targets[rng.integers(len(targets))]
         node = tree.nodes[nid]
-        pool = T.LINEAR if T.is_linear(node.kind) else T.NONLINEAR
+        pool = T.LINEAR if node.kind in T.LINEAR else T.NONLINEAR
         options = [k for k in pool if k != node.kind]
         new_kind = options[rng.integers(len(options))]
         _, tap, children = T.tree_to_expr(tree, nid)
@@ -170,7 +170,7 @@ def mutate_insert(tree: NodeTree, rng: np.random.Generator,
         nid = positions[rng.integers(len(positions))]
         new_kind = T.ELEMENTS[rng.integers(len(T.ELEMENTS))]
         children = [T.tree_to_expr(tree, nid)]
-        if T.is_linear(new_kind):
+        if new_kind in T.LINEAR:
             children.append((T.LEAVES[rng.integers(len(T.LEAVES))], None, ()))
             if rng.integers(2):
                 children.reverse()
@@ -191,7 +191,7 @@ def mutate_shrink(tree: NodeTree, rng: np.random.Generator) -> NodeTree:
     rule) are resampled up to the retry budget, then the input is returned
     unchanged.
     """
-    targets = [nid for nid in T.iter_element_ids(tree) if nid != tree.root]
+    targets = [nid for nid in tree.preorder()[1:] if tree.nodes[nid].kind in T.ELEMENTS]
     if not targets:
         return tree
     budget = _violation_budget(tree)

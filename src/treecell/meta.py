@@ -340,7 +340,8 @@ def load_samples_csv(path):
 
 
 def save_model(model: CurvePredictor, path) -> None:
-    """Single-file .npz checkpoint with a format/version tag."""
+    """Single-file .npz checkpoint with a format/version tag, written to
+    ``path`` or, if it has a ``write`` method, into that binary file."""
     arrays = {
         "format": np.array("treecell-meta"),
         "version": np.array(1),
@@ -355,6 +356,9 @@ def save_model(model: CurvePredictor, path) -> None:
         arrays[f"member{i}/decoder_len"] = np.array(member.decoder_len)
         for k, v in member.params.items():
             arrays[f"member{i}/{k}"] = v
+    if hasattr(path, "write"):
+        np.savez(path, **arrays)
+        return
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 

@@ -118,6 +118,10 @@ def _scatter_rows(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarr
                        minlength=n_rows * width).reshape(n_rows, width)
 
 
+class NonFiniteCellInput(ValueError):
+    """A cell input is inf or NaN: the candidate diverged, not the code."""
+
+
 def _check_finite(bases: np.ndarray, carried: list) -> None:
     """Raise unless a layer's chunk of cell inputs is all finite.
 
@@ -130,7 +134,7 @@ def _check_finite(bases: np.ndarray, carried: list) -> None:
     arrays = [bases, *carried] if len(carried) <= 2 else [bases, np.array(carried)]
     # one ufunc reduction each; cheaper per call than np.all on small arrays
     if not all(np.logical_and.reduce(np.isfinite(a), axis=None) for a in arrays):
-        raise ValueError("non-finite cell input")
+        raise NonFiniteCellInput("non-finite cell input")
 
 
 def _add_descending(acc: np.ndarray, stack: np.ndarray) -> None:
@@ -187,10 +191,10 @@ class RecurrentLayers:
 
         ``masks`` holds the ``ff``/``rec`` dropout masks or None.  The cache
         (None unless ``record``) feeds :meth:`backward`.  States are not
-        modified in place.  Raises ValueError("non-finite cell input") when
-        any cell input is inf or NaN: a step's base inputs, or the c or d it
-        reads.  Each layer is checked once, after its time loop, so the cells
-        run on such values, with floating-point warnings off, until then.
+        modified in place.  Raises NonFiniteCellInput when any cell input is
+        inf or NaN: a step's base inputs, or the c or d it reads.  Each layer
+        is checked once, after its time loop, so the cells run on such values,
+        with floating-point warnings off, until then.
         """
         new_states = []
         caches = [] if record else None

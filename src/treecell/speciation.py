@@ -58,10 +58,6 @@ class SpeciationState:
 
     # -- per-generation flow -------------------------------------------------
 
-    def begin_generation(self) -> None:
-        for sp in self.species:
-            sp.members = []
-
     def assign(self, key: str, genome: NodeTree, generation: int = 0) -> int:
         """Place one genome; creates a new species when none is compatible."""
         for sp in self.species:
@@ -160,7 +156,8 @@ class SpeciationState:
 def speciate(population: dict[str, NodeTree], state: SpeciationState,
              generation: int = 0) -> dict[str, int]:
     """Assign a whole generation; returns genome key -> species id."""
-    state.begin_generation()
+    for sp in state.species:
+        sp.members = []
     assignment = {}
     for key, genome in population.items():
         assignment[key] = state.assign(key, genome, generation)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import SequenceTask, make_streams
-from .network import Network
+from .network import Network, NonFiniteCellInput
 
 
 @dataclass
@@ -307,7 +307,7 @@ def train(network: Network, task: SequenceTask, config: TrainConfig) -> Training
                 with np.errstate(over="ignore", invalid="ignore"):
                     logits, states, cache = network.forward_chunk(
                         xc, states, masks=masks, record=True)
-            except ValueError as exc:
+            except NonFiniteCellInput as exc:
                 raise TrainingDiverged(epoch, bi) from exc
             if is_tokens:
                 loss, dlogits = softmax_ce(logits, yc)
@@ -330,7 +330,7 @@ def train(network: Network, task: SequenceTask, config: TrainConfig) -> Training
                 else:
                     metric = eval_f1(network, vx, vy, config.batch_size,
                                      config.unroll_steps)
-        except ValueError as exc:
+        except NonFiniteCellInput as exc:
             raise TrainingDiverged(epoch, -1) from exc
         if not np.isfinite(metric):
             raise TrainingDiverged(epoch, -1)

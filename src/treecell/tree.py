@@ -10,7 +10,7 @@ nodes may additionally be tapped into the auxiliary memory outputs c or d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 ADD = "add"
 MUL = "mul"
@@ -37,22 +37,6 @@ MAX_HEIGHT = 15
 ARITY = {k: 2 for k in LINEAR}
 ARITY.update({k: 1 for k in NONLINEAR})
 ARITY.update({k: 0 for k in LEAVES})
-
-
-def is_linear(kind: str) -> bool:
-    return kind in LINEAR
-
-
-def is_nonlinear(kind: str) -> bool:
-    return kind in NONLINEAR
-
-
-def is_element(kind: str) -> bool:
-    return kind in ELEMENTS
-
-
-def is_leaf(kind: str) -> bool:
-    return kind in LEAVES
 
 
 class StructureError(ValueError):
@@ -146,9 +130,6 @@ class NodeTree:
             object.__setattr__(self, "_memory", memory)
         return self._memory[node_id]
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def __repr__(self) -> str:
         return f"NodeTree({node_text(self, self.root)!r})"
 
@@ -214,9 +195,9 @@ def _violations(tree: NodeTree) -> list[Violation]:
         report.append(Violation("height-max", None, f"height {h} above maximum {MAX_HEIGHT}"))
     for nid in tree.preorder():
         node = tree.nodes[nid]
-        if is_nonlinear(node.kind):
+        if node.kind in NONLINEAR:
             for c in node.children:
-                if is_nonlinear(tree.nodes[c].kind):
+                if tree.nodes[c].kind in NONLINEAR:
                     report.append(Violation(
                         "consecutive-nonlinearity", nid,
                         f"consecutive nonlinearity at node {nid} ({node.kind} over "
@@ -265,20 +246,11 @@ def build_tree(spec) -> NodeTree:
     """
 
     def to_expr(s) -> Expr:
-        if isinstance(s, str):
-            kind, tap = _split_tap(s)
-            return (kind, tap, ())
-        kind, tap = _split_tap(s[0])
-        return (kind, tap, tuple(to_expr(c) for c in s[1:]))
+        head, children = (s, ()) if isinstance(s, str) else (s[0], s[1:])
+        kind, at, tap = head.partition("@")
+        return (kind, tap if at else None, tuple(to_expr(c) for c in children))
 
     return expr_to_tree(to_expr(spec))
-
-
-def _split_tap(token: str) -> tuple[str, Optional[str]]:
-    if "@" in token:
-        kind, tap = token.split("@", 1)
-        return kind, tap
-    return token, None
 
 
 def node_text(tree: NodeTree, node_id: int) -> str:
@@ -365,8 +337,3 @@ def seed_tree() -> NodeTree:
     mem_sum = ("add", MEMORY_C, MEMORY_D)
     return build_tree(("tanh", ("add", base_sum, mem_sum)))
 
-
-def iter_element_ids(tree: NodeTree) -> Iterable[int]:
-    for nid in tree.preorder():
-        if is_element(tree.nodes[nid].kind):
-            yield nid

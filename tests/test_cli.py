@@ -325,6 +325,39 @@ def test_meta_cli_insufficient_samples(tmp_path, capsys):
     assert "samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["meta", "train"], "provide --dataset"),
+    (["meta", "predict", "--curve", ",".join(["5"] * 10)], "provide --model"),
+])
+def test_meta_without_its_input_file_is_clean_error(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message} ")
+
+
+def test_meta_train_save_that_fails_leaves_out_as_it_was(tmp_path, monkeypatch, capsys):
+    dataset = tmp_path / "curves.csv"
+    save_samples_csv(dataset, synthetic_curves(100, seed=8)[0])
+    cfg = tiny_config(tmp_path, **{"meta.epochs": 1, "meta.width": 2, "meta.layers": 1})
+    models = tmp_path / "models"
+    models.mkdir()
+    out = models / "model.npz"
+    out.write_bytes(b"the previous model")
+
+    def savez_cut_short(file, **arrays):
+        if hasattr(file, "write"):
+            file.write(b"PK\x03\x04 first bytes")
+        else:
+            Path(file).write_bytes(b"PK\x03\x04 first bytes")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(np, "savez", savez_cut_short)
+    with pytest.raises(OSError, match="No space left"):
+        main(["meta", "train", "--dataset", str(dataset), "--config", str(cfg),
+              "--out", str(out)])
+    assert out.read_bytes() == b"the previous model"
+    assert sorted(p.name for p in models.iterdir()) == ["model.npz"]
+
+
 def test_hetero_pool_of_one_and_count_zero(tmp_path, capsys):
     pool = tmp_path / "pool"
     pool.mkdir()

@@ -35,7 +35,7 @@ DEEP_GENOME = Path(__file__).resolve().parent.parent / "perfbench" / "panel" / "
 def test_lstm_reference_tree_is_valid_and_uses_four_inputs():
     t = lstm_reference_tree()
     assert validate(t) == []
-    used = {t.nodes[n].kind for n in t.preorder() if T.is_leaf(t.nodes[n].kind)}
+    used = {t.nodes[n].kind for n in t.preorder() if t.nodes[n].kind in T.LEAVES}
     assert used == {"x0", "x1", "x2", "x3", "cprev"}
     base_used = [k for k in used if k.startswith("x")]
     assert len(base_used) == 4

@@ -11,7 +11,6 @@ from treecell.evolution import (
     LineageLog,
     RunState,
     evaluate_generation,
-    genome_key,
     init_population,
     replay_line,
     reproduce,
@@ -19,7 +18,7 @@ from treecell.evolution import (
 )
 from treecell.grammar import parse, serialize
 from treecell.speciation import SpeciationConfig, SpeciationState, speciate
-from treecell.tree import seed_tree, size, validate
+from treecell.tree import canonical_text, seed_tree, size, validate
 
 
 def small_config(**kw):
@@ -83,7 +82,7 @@ def test_evaluate_generation_caches_duplicates():
     evaluate_generation(population, counting_evaluator, records,
                         "epoch10_baseline")
     assert len(calls) == 1  # identical genomes share one training run
-    key = genome_key(seed)
+    key = canonical_text(seed)
     assert records[key].fitness == 2.0  # last curve entry
     # already-cached genomes are never retrained
     evaluate_generation(population, counting_evaluator, records,
@@ -104,7 +103,7 @@ def test_evaluate_generation_sends_a_lone_genome_to_the_pool():
     records = {}
     evaluate_generation([seed_tree()], outside_pool, records,
                         "epoch10_baseline", pool=WorkerPool())
-    key = genome_key(seed_tree())
+    key = canonical_text(seed_tree())
     assert records[key].fitness == toy_evaluator(key)[-1]
 
 
@@ -115,7 +114,7 @@ def test_divergent_training_gets_worst_fitness():
     records = {}
     evaluate_generation([seed_tree()], nan_evaluator, records,
                         "epoch10_baseline")
-    rec = records[genome_key(seed_tree())]
+    rec = records[canonical_text(seed_tree())]
     assert math.isinf(rec.fitness)
 
 
@@ -181,7 +180,7 @@ def test_meta_mode_predicts_each_record_once_per_run():
 def test_reproduce_preserves_population_size_and_validity():
     config = small_config()
     population = init_population(config)
-    keys = [genome_key(g) for g in population]
+    keys = [canonical_text(g) for g in population]
     state = SpeciationState(config.speciation)
     speciate(dict(zip(keys, population)), state, 0)
     records = {}
@@ -199,7 +198,7 @@ def test_offspring_left_in_an_archived_region_after_the_retry_cap_are_accepted(c
     config = small_config(max_shame_retries=2,
                           speciation=SpeciationConfig(compatibility_threshold=1.5))
     population = init_population(config)
-    keys = [genome_key(g) for g in population]
+    keys = [canonical_text(g) for g in population]
     state = SpeciationState(config.speciation)
     speciate(dict(zip(keys, population)), state, 0)
     state.archive.append(seed_tree())
@@ -224,7 +223,7 @@ def test_offspring_left_in_an_archived_region_after_the_retry_cap_are_accepted(c
 def test_reproduce_keeps_elite_unchanged():
     config = small_config()
     population = init_population(config)
-    keys = [genome_key(g) for g in population]
+    keys = [canonical_text(g) for g in population]
     state = SpeciationState(config.speciation)
     speciate(dict(zip(keys, population)), state, 0)
     records = {}
@@ -232,7 +231,7 @@ def test_reproduce_keeps_elite_unchanged():
                         config.fitness_mode, keys=keys)
     best_key = min((k for k in keys), key=lambda k: records[k].fitness)
     nxt = reproduce(population, keys, records, state, config, 1)
-    assert best_key in {genome_key(g) for g in nxt}
+    assert best_key in {canonical_text(g) for g in nxt}
 
 
 def test_run_monotone_best_and_history():
@@ -268,7 +267,7 @@ def test_run_with_nothing_finite_trains_only_what_it_reports():
                  on_generation=lambda stats, pop, spec, records: seen.append(len(records)))
     assert len(calls) == seen[-1] == len(result.records)
     assert math.isinf(result.best_fitness)
-    assert genome_key(result.best_genome) == genome_key(result.population[0])
+    assert canonical_text(result.best_genome) == canonical_text(result.population[0])
 
 
 def test_run_bit_reproducible():

@@ -165,17 +165,17 @@ def test_insert_at_leaf_smallest_case():
     # find a deterministic seed where a linear element lands on a leaf: the
     # displaced leaf becomes one child, a fresh leaf the other
     t = seed_tree()
-    leaf_count = sum(1 for n in t.preorder() if T.is_leaf(t.nodes[n].kind))
+    leaf_count = sum(1 for n in t.preorder() if t.nodes[n].kind in T.LEAVES)
     for seed in range(500):
         out = mutate_insert(t, rng_for(seed))
         if size(out) - size(t) != 2:
             continue
         new_linear = [
             out.nodes[n] for n in out.preorder()
-            if T.is_linear(out.nodes[n].kind)
-            and all(T.is_leaf(out.nodes[c].kind) for c in out.nodes[n].children)
+            if out.nodes[n].kind in T.LINEAR
+            and all(out.nodes[c].kind in T.LEAVES for c in out.nodes[n].children)
         ]
-        extra_leaves = sum(1 for n in out.preorder() if T.is_leaf(out.nodes[n].kind))
+        extra_leaves = sum(1 for n in out.preorder() if out.nodes[n].kind in T.LEAVES)
         if new_linear and extra_leaves == leaf_count + 1:
             return
     pytest.fail("no linear-insert-at-leaf case found in 500 seeded trials")

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecell.compiler import CellState, compile_tree, lstm_reference_tree
-from treecell.data import delayed_copy_task, make_streams
+from treecell.data import (
+    delayed_copy_task,
+    generate_pianoroll,
+    make_streams,
+    music_task_from_roll,
+)
 from treecell.genetic import random_genome
 from treecell.network import (
     FlatParams,
@@ -320,6 +325,20 @@ def test_a_valid_split_smaller_than_a_batch_is_an_error_not_a_divergence():
                          lr=0.01, dropout_ff=0.0, dropout_rec=0.0, seed=0)
     with pytest.raises(ValueError, match="split too small for batch size 4"):
         train(net, task, config)
+
+
+def test_a_wiring_bug_is_an_error_not_a_divergence():
+    """An 88-pitch frames task on a network built for 5 inputs fails in the
+    input projection's matmul; that bug must stop the caller, not read as a
+    diverged genome (which evolution would score as the worst fitness)."""
+    task = music_task_from_roll(generate_pianoroll(400, seed=0))
+    spec = homogeneous_spec(6, 1, 0, io_dim=5, head="sigmoid")
+    net = build_network(spec, [lstm_reference_tree()], rng_for(0))
+    config = TrainConfig(unroll_steps=10, batch_size=4, epochs=1, optimizer="adam",
+                         lr=0.01, dropout_ff=0.0, dropout_rec=0.0, seed=0)
+    with pytest.raises(ValueError, match="matmul") as info:
+        train(net, task, config)
+    assert not isinstance(info.value, TrainingDiverged)
 
 
 def test_memory_overflow_stops_training_in_the_chunk_that_reads_it():

@@ -29,7 +29,7 @@ def test_seed_tree_is_valid_and_height_six():
     assert validate(t) == []
     assert height(t) == 6
     assert size(t) == 20
-    leaves = sorted(n.kind for n in t.nodes.values() if T.is_leaf(n.kind))
+    leaves = sorted(n.kind for n in t.nodes.values() if n.kind in T.LEAVES)
     assert leaves == sorted(list(T.BASE_INPUTS) + list(T.MEMORY_LEAVES))
 
 
@@ -79,6 +79,9 @@ def test_structural_errors_raise():
                  1: TreeNode(1, "x0"), 2: TreeNode(2, "x1")}
     with pytest.raises(StructureError):
         NodeTree(0, bad_arity)
+    for head in ("add@", "add@e", "add@c@d"):  # an empty or unknown tap
+        with pytest.raises(StructureError, match="unknown tap"):
+            build_tree(("tanh", (head, "x0", "cprev")))
 
 
 def test_has_memory_path():
@@ -122,8 +125,8 @@ def test_canonicalize_idempotent_and_preserving(seed):
     assert validate(c1) == []
     assert size(c1) == size(t)
     assert height(c1) == height(t)
-    assert (sorted(n.kind for n in c1.nodes.values() if T.is_leaf(n.kind))
-            == sorted(n.kind for n in t.nodes.values() if T.is_leaf(n.kind)))
+    assert (sorted(n.kind for n in c1.nodes.values() if n.kind in T.LEAVES)
+            == sorted(n.kind for n in t.nodes.values() if n.kind in T.LEAVES))
 
 
 def test_untagged_output_is_passthrough_by_construction():
