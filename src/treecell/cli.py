@@ -192,7 +192,10 @@ def cmd_train(args) -> int:
     rows = [(i + 1, m, s)
             for i, (m, s) in enumerate(zip(curve.metrics, seconds))]
     out = args.out or "curve.csv"
-    write_csv(out, ("epoch", curve.metric_name, "seconds"), rows)
+    try:
+        write_csv(out, ("epoch", curve.metric_name, "seconds"), rows)
+    except OSError as exc:
+        return _fail(f"{out}: {exc.strerror or exc}")
     print(f"final {curve.metric_name}: {curve.final()}")
     return 0
 
@@ -247,7 +250,11 @@ def cmd_hetero(args) -> int:
     results.sort(key=lambda r: r[0])
     rows = [(rank + 1, fitness, "|".join(texts))
             for rank, (fitness, texts) in enumerate(results)]
-    write_csv(args.out or "hetero.csv", ("rank", "fitness", "genomes"), rows)
+    out = args.out or "hetero.csv"
+    try:
+        write_csv(out, ("rank", "fitness", "genomes"), rows)
+    except OSError as exc:
+        return _fail(f"{out}: {exc.strerror or exc}")
     return 0
 
 
@@ -294,7 +301,10 @@ def cmd_meta(args) -> int:
         out = args.out or "meta_model.npz"
         blob = io.BytesIO()
         meta.save_model(model, blob)
-        atomic_write(out, blob.getvalue())
+        try:
+            atomic_write(out, blob.getvalue())
+        except OSError as exc:
+            return _fail(f"{out}: {exc.strerror or exc}")
         print(f"saved model to {out}")
         return 0
     # predict

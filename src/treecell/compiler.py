@@ -9,7 +9,10 @@ numpy functions: a forward step that keeps every slot in a local, and
 its reverse, which reads the forward tape and accumulates exact adjoints,
 including through input reuse and the c/d output taps.  The tape holds
 only the slots the reverse reads, so a cell whose reverse reads no base
-input does not keep its layer's projection alive.  Both
+input does not keep its layer's projection alive; a layer whose tapes do
+keep it reuses it as the buffer the base adjoints are written into, which
+is safe because the reverse reads every tape value before its first write
+to ``base``.  Both
 keep numpy calls few, since at small widths each call's fixed cost is
 most of its price: sigmoid needs no branch, an adjoint an add passes on
 unchanged gets no line of its own, and equal adjacent base adjoints are
@@ -48,11 +51,15 @@ class CompiledCell:
     # the generated straight-line kernels, shared by every cell with this op list
     forward: Callable = field(init=False, compare=False, repr=False)
     backward: Callable = field(init=False, compare=False, repr=False)
+    # whether the tape keeps a base input (x0..x7), a view of the layer's projection
+    keeps_base: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         forward, backward = _kernels(self.ops, self.h_slot, self.c_slots, self.d_slots)
         object.__setattr__(self, "forward", forward)
         object.__setattr__(self, "backward", backward)
+        object.__setattr__(self, "keeps_base",
+                           min(_taped_slots(self.ops, self.h_slot)) < T.N_BASE_INPUTS)
 
     @property
     def n_slots(self) -> int:
@@ -211,6 +218,8 @@ def _kernel_source(ops, h_slot: int, c_slots, d_slots) -> str:
     written where it is used.  All eight base adjoints land in ``base``,
     zero for inputs the cell does not read; runs of adjacent slots that
     hold the same adjoint, or zero, are filled by one slice assignment.
+    Nothing after the first write to ``base`` reads a tape value, so
+    ``base`` may be the storage the tape's base inputs are views of.
     """
     n = N_INPUT_SLOTS + len(ops)
     kept = _taped_slots(ops, h_slot)
@@ -255,6 +264,15 @@ def _kernel_source(ops, h_slot: int, c_slots, d_slots) -> str:
         for arg, term in zip(op.args, _RULES[op.func][1]):
             accumulate(arg, term.format(*args, g=name(slot), out=f"v{slot}"))
     dtype = f"v{h_slot}.dtype"
+    outs = []
+    for slot, taps, seed in ((SLOT_CPREV, c_slots, "gc"), (SLOT_DPREV, d_slots, "gd")):
+        if slot in seen:
+            outs.append(name(slot) if taps else f"{name(slot)} + {seed}")
+        elif taps:  # made here, since it reads the tape
+            bwd.append(f"    g{slot} = zeros(gh.shape, {dtype})")
+            outs.append(f"g{slot}")
+        else:
+            outs.append(f"{seed} + 0.0")  # pass-through; == 0 + seed bit for bit
     bwd.append("    if base is None:")
     bwd.append(f"        base = _adjoint_buffer(gh.shape, {dtype})")
     lo = 0
@@ -263,14 +281,6 @@ def _kernel_source(ops, h_slot: int, c_slots, d_slots) -> str:
         hi = lo + len(list(run))
         bwd.append(f"    base[{lo if hi == lo + 1 else f'{lo}:{hi}'}] = {value}")
         lo = hi
-    outs = []
-    for slot, taps, seed in ((SLOT_CPREV, c_slots, "gc"), (SLOT_DPREV, d_slots, "gd")):
-        if slot in seen:
-            outs.append(name(slot) if taps else f"{name(slot)} + {seed}")
-        elif taps:
-            outs.append(f"zeros(gh.shape, {dtype})")
-        else:
-            outs.append(f"{seed} + 0.0")  # pass-through; == 0 + seed bit for bit
     bwd.append(f"    return base, {outs[0]}, {outs[1]}")
     return "\n".join(fwd + [""] + bwd) + "\n"
 

@@ -10,7 +10,8 @@ is simply reading the epoch-10 value.
 
 Training records one cache per minibatch (every decoder step's tapes) and
 drops it once its gradients are taken, so at most one cache is alive
-during the fit.  A 30-step member's cache at width 40, two layers and
+during the fit; the backward itself lets each step's tapes go as it
+consumes them.  A 30-step member's cache at width 40, two layers and
 batch 50 holds about 9 MB: the tapes keep only what the reverse reads,
 and the gated cell's reverse reads no base input, so no step's
 projection stays alive.
@@ -139,13 +140,18 @@ class _Seq2Seq:
         ``douts`` holds the loss adjoint of every decoder output, shape
         (batch, decoder_len); unsupervised steps pass zero columns and
         still receive gradient through the autoregressive feedback path.
+        Consumes ``cache``: each decoder step's entry is dropped once used,
+        and a second backward on the same cache raises ValueError.
         """
+        dec_caches = cache["dec"]
+        if len(dec_caches) != self.decoder_len:
+            raise ValueError("this cache was consumed by an earlier backward")
         grads = self.params.zeros_like()
         batch = douts.shape[0]
         carry = self.decoder.zero_states(batch)
         dout_next = None  # adjoint fed back from the following step's input
         for j in range(self.decoder_len - 1, -1, -1):
-            step = cache["dec"][j]
+            step = dec_caches.pop()
             dout = douts[:, j:j + 1].copy()
             if dout_next is not None:
                 dout += dout_next

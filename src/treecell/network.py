@@ -171,6 +171,10 @@ class RecurrentLayers:
                 offset += card
             self.cells.append(compiled)
         self.widths = [layer[-1][2] for layer in self.cells]
+        # the layers whose tapes pin their projection, which backward then
+        # reuses as its base-adjoint buffer
+        self.keeps_base = [any(cell.keeps_base for cell, _, _ in layer)
+                           for layer in self.cells]
         self.names = [tuple(f"{prefix}layer{li}.{p}" for p in "WUb")
                       for li in range(len(self.cells))]
         prev = in_dim
@@ -224,7 +228,8 @@ class RecurrentLayers:
             # are the next chunk's (or the caller's) to check
             _check_finite(xproj, cs[:-1] + ds[:-1])
             if record:
-                caches.append({"xs": xs, "h_prev": h_prevs, "tapes": tapes})
+                caches.append({"xs": xs, "h_prev": h_prevs, "tapes": tapes,
+                               "xproj": xproj if self.keeps_base[li] else None})
             new_states.append(state)
             # a view for a 1-step sequence: the predictor's decoder records
             # one per step, and a copy there raises its peak memory
@@ -259,40 +264,54 @@ class RecurrentLayers:
 
         ``dh_top`` (L, B, W) is the adjoint of the top layer's h at each step.
         Adds parameter adjoints into ``grads`` and replaces ``carry[li]``,
-        the adjoints of layer ``li``'s carried-in h, c and d.
+        the adjoints of layer ``li``'s carried-in h, c and d.  Consumes
+        ``cache``: each layer's entry, and each step's tape in it, is let go
+        once used, and a second backward on the same cache raises ValueError.
         """
+        if any(layer is None for layer in cache):
+            raise ValueError("this cache was consumed by an earlier backward")
         dh_above = dh_top
         for li in range(len(self.cells) - 1, -1, -1):
-            slots = self.cells[li]
-            layer = cache[li]
-            w_name, u_name, b_name = self.names[li]
-            grad_w, grad_u = grads[w_name], grads[u_name]
-            u_t = params[u_name].T
-            rec = masks["rec"][li] if masks is not None else None
-            xs, h_prevs, tapes = layer["xs"], layer["h_prev"], layer["tapes"]
-            state = carry[li]
-            # the cells write each step's base adjoint (8, B, W) into a
-            # (L, B, 8, W) buffer, so every dpre and the (L, B, 8W) stack are views
-            length, batch, width = len(tapes), state.h.shape[0], self.widths[li]
-            dbases = np.empty((length, batch, N_BASE_INPUTS, width), dtype=self.dtype)
-            dpres = dbases.reshape(length, batch, N_BASE_INPUTS * width)
-            douts = dbases.transpose(0, 2, 1, 3)
-            for t in range(length - 1, -1, -1):
-                dh = dh_above[t] + state.h
-                dc_prev, dd_prev = self._cells_backward(slots, tapes[t], dh, state, douts[t])
-                dpre = dpres[t]
-                grad_w += xs[t].T @ dpre
-                grad_u += h_prevs[t].T @ dpre
-                dh_prev = dpre @ u_t
-                if rec is not None:
-                    dh_prev = dh_prev * rec
-                state = CellState(dh_prev, dc_prev, dd_prev)
-            carry[li] = state
-            _add_descending(grads[b_name], _batch_sums(dpres))
-            dh_above = dpres @ params[w_name].T
-            if masks is not None:
-                dh_above = dh_above * masks["ff"][li]
+            layer, cache[li] = cache[li], None
+            # the layer's buffers die on return, before the layer below makes its own
+            dh_above, carry[li] = self._layer_backward(li, params, grads, layer, dh_above,
+                                                       carry[li], masks)
         return dh_above
+
+    def _layer_backward(self, li, params, grads, layer, dh_above, state, masks):
+        """One layer of :meth:`backward`, popping each step's tape and h_prev
+        from ``layer`` as it goes; returns the adjoints of the layer's input
+        and of its carried-in state."""
+        slots = self.cells[li]
+        w_name, u_name, b_name = self.names[li]
+        grad_w, grad_u = grads[w_name], grads[u_name]
+        u_t = params[u_name].T
+        rec = masks["rec"][li] if masks is not None else None
+        xs, h_prevs, tapes = layer["xs"], layer["h_prev"], layer["tapes"]
+        # the cells write each step's base adjoint (8, B, W) into a (L, B, 8W)
+        # buffer, so every dpre and the stack are views.  A projection that the
+        # tapes pin has that layout and is that buffer: a cell reads its tape
+        # before it writes, and writes only its own columns of the step it reads
+        length, batch, width = len(tapes), state.h.shape[0], self.widths[li]
+        dpres = layer.pop("xproj")
+        if dpres is None:
+            dpres = np.empty((length, batch, N_BASE_INPUTS * width), dtype=self.dtype)
+        douts = dpres.reshape(length, batch, N_BASE_INPUTS, width).transpose(0, 2, 1, 3)
+        for t in range(length - 1, -1, -1):
+            dh = dh_above[t] + state.h
+            dc_prev, dd_prev = self._cells_backward(slots, tapes.pop(), dh, state, douts[t])
+            dpre = dpres[t]
+            grad_w += xs[t].T @ dpre
+            grad_u += h_prevs.pop().T @ dpre
+            dh_prev = dpre @ u_t
+            if rec is not None:
+                dh_prev = dh_prev * rec
+            state = CellState(dh_prev, dc_prev, dd_prev)
+        _add_descending(grads[b_name], _batch_sums(dpres))
+        dh_below = dpres @ params[w_name].T
+        if masks is not None:
+            dh_below = dh_below * masks["ff"][li]
+        return dh_below, state
 
     def _cells_backward(self, slots, tape, dh, carry, dbase):
         """One reverse step of a layer's cells; writes the base adjoint into

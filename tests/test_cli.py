@@ -358,6 +358,51 @@ def test_meta_train_save_that_fails_leaves_out_as_it_was(tmp_path, monkeypatch, 
     assert sorted(p.name for p in models.iterdir()) == ["model.npz"]
 
 
+def _final_write_argv(tmp_path, genome_file, command, out):
+    """A cheap ``command`` run whose one output file is ``out``."""
+    if command == "train":
+        return ["train", str(genome_file), "--config", str(tiny_config(tmp_path)),
+                "--out", str(out)]
+    if command == "hetero":
+        pool = tmp_path / "pool"
+        pool.mkdir()
+        (pool / "one.txt").write_text(genome_file.read_text())
+        return ["hetero", str(pool), "--config",
+                str(tiny_config(tmp_path, **{"network.width": 40})), "--count", "1",
+                "--out", str(out)]
+    dataset = tmp_path / "curves.csv"
+    save_samples_csv(dataset, synthetic_curves(100, seed=8)[0])
+    cfg = tiny_config(tmp_path, **{"meta.epochs": 1, "meta.width": 2, "meta.layers": 1})
+    return ["meta", "train", "--dataset", str(dataset), "--config", str(cfg),
+            "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["train", "hetero", "meta"])
+def test_out_that_is_a_directory_is_clean_error(tmp_path, genome_file, capsys, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept.txt").write_text("kept")
+    assert main(_final_write_argv(tmp_path, genome_file, command, out)) == 1
+    assert capsys.readouterr().err.endswith(f"error: {out}: Is a directory\n")
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith("out.")]
+
+
+@pytest.mark.parametrize("command", ["train", "hetero", "meta"])
+def test_final_write_that_fails_is_clean_error(tmp_path, genome_file, capsys, monkeypatch,
+                                              command):
+    out = tmp_path / "out.csv"
+    argv = _final_write_argv(tmp_path, genome_file, command, out)
+
+    def replace_on_a_full_disk(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", replace_on_a_full_disk)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.endswith(f"error: {out}: No space left on device\n")
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("out")) == []
+
+
 def test_hetero_pool_of_one_and_count_zero(tmp_path, capsys):
     pool = tmp_path / "pool"
     pool.mkdir()

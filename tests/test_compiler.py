@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from treecell.compiler import (
     N_INPUT_SLOTS,
     CellState,
     CompileError,
+    _kernel_source,
     cell_backward,
     cell_forward,
     compile_tree,
@@ -191,6 +193,29 @@ KERNEL_GENOMES = st.one_of(
                      SHARED_TAPS]),
     st.builds(lambda seed, steps: random_genome(rng_for(seed), steps=steps),
               st.integers(0, 10_000), st.sampled_from([2, 8, 20, 40])))
+
+
+def test_backward_reads_the_tape_before_it_writes_base():
+    """A layer whose tapes pin its projection writes the base adjoints into
+    it, so no line from a backward's first ``base[`` on may read a forward
+    value; and ``keeps_base`` says whether the tape holds a base input."""
+    from test_network import BOTH_TAPS
+
+    rng = rng_for(21)
+    genomes = [lstm_reference_tree(), seed_tree(), BOTH_TAPS, parse(DEEP_GENOME.read_text())]
+    genomes += [random_genome(rng, steps=steps) for steps in (2, 8, 20, 40) * 50]
+    kept = []
+    for genome in genomes:
+        cell = compile_tree(genome)
+        source = _kernel_source(cell.ops, cell.h_slot, cell.c_slots, cell.d_slots)
+        backward = source[source.index("def backward"):].splitlines()
+        first = next(i for i, line in enumerate(backward) if line.lstrip().startswith("base["))
+        for line in backward[first:]:
+            assert not re.search(r"\bv\d+\b", line), (serialize(genome), line)
+        _, tape = cell_forward(cell, rng.normal(size=(8, 2)), zero_state((2,)), record=True)
+        assert cell.keeps_base == any(v is not None for v in tape[:T.N_BASE_INPUTS])
+        kept.append(cell.keeps_base)
+    assert kept[:4] == [False, False, False, True] and any(kept[4:]) and not all(kept[4:])
 
 
 def _bits(a):

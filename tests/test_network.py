@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from treecell.data import (
     music_task_from_roll,
 )
 from treecell.genetic import random_genome
+from treecell.grammar import parse
 from treecell.network import (
     FlatParams,
     LayerSpec,
@@ -46,6 +48,9 @@ from oracles import (
     step_major_forward_chunk,
     watch_cache_lifetimes,
 )
+
+
+DEEP_GENOME = Path(__file__).resolve().parent.parent / "perfbench" / "panel" / "deep.genome"
 
 
 def rng_for(seed):
@@ -213,6 +218,72 @@ def test_layer_major_engine_matches_step_major_bit_for_bit(trees, n_layers, hete
     assert grads.keys() == ref_grads.keys()
     for name in grads:
         assert np.array_equal(_bits(grads[name]), _bits(ref_grads[name])), name
+
+
+# reads x1 (a mul argument) and x0 (a relu argument) in reverse, so its
+# tapes pin the layer's projection, which backward then writes base adjoints into
+READS_BASE = build_tree(("mul", ("sigmoid", "x3"),
+                         ("tanh", ("add@c", ("mul", "x1", "cprev"),
+                                   ("mul@d", ("relu", "x0"), ("tanh", "dprev"))))))
+
+
+@pytest.mark.parametrize("dropout", [False, True])
+@pytest.mark.parametrize("order", ["base-reader first", "base-reader second"])
+def test_layer_that_reuses_its_projection_matches_step_major_bit_for_bit(dropout, order):
+    """Two layers of two slots, one cell whose reverse reads base inputs and
+    one whose reverse does not: the reused projection gives the step-major
+    engine's logits, final states and gradients, bit for bit."""
+    trees = [READS_BASE, lstm_reference_tree()]
+    if order == "base-reader second":
+        trees.reverse()
+    spec = NetworkSpec([LayerSpec(24, [(0, 10), (1, 14)])] * 2, 12, vocab_size=8)
+    net = build_network(spec, trees, rng_for(31))
+    assert net.layers.keeps_base == [True, True]
+    rng = rng_for(32)
+    x = rng.integers(0, 8, size=(20, 35))
+    y = rng.integers(0, 8, size=(20, 35))
+    masks = None
+    if dropout:
+        masks = draw_masks(net, 20, TrainConfig(dropout_ff=0.4, dropout_rec=0.3), rng)
+    states = [CellState(*(rng.normal(size=s.h.shape) for _ in range(3)))
+              for s in net.zero_states(20)]
+    logits, final, cache = net.forward_chunk(x, states, masks, record=True)
+    assert all(layer["xproj"] is not None for layer in cache["layers"])
+    ref_logits, ref_final, ref_cache = step_major_forward_chunk(net, x, states, masks,
+                                                                record=True)
+    _, dlogits = softmax_ce(logits, y)
+    grads = net.backward_chunk(cache, dlogits)
+    ref_grads = step_major_backward_chunk(net, ref_cache, dlogits)
+    assert np.array_equal(_bits(logits), _bits(ref_logits))
+    # after the backward: the carried state shares no storage with the buffer
+    for state, ref in zip(final, ref_final):
+        for name in ("h", "c", "d"):
+            assert np.array_equal(_bits(getattr(state, name)), _bits(getattr(ref, name))), name
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert np.array_equal(_bits(grads[name]), _bits(ref_grads[name])), name
+
+
+def test_a_backward_consumes_its_cache():
+    """A second backward on the same cache raises instead of returning
+    gradients from overwritten buffers, for a network and a predictor member."""
+    from treecell.meta import MetaConfig, _Seq2Seq
+
+    spec = NetworkSpec([LayerSpec(6, [(0, 3), (1, 3)])] * 2, 4, vocab_size=5)
+    net = build_network(spec, [READS_BASE, lstm_reference_tree()], rng_for(1))
+    x = rng_for(2).integers(0, 5, size=(3, 7))
+    logits, _, cache = net.forward_chunk(x, net.zero_states(3), record=True)
+    dlogits = softmax_ce(logits, x)[1]
+    net.backward_chunk(cache, dlogits)
+    assert cache["layers"] == [None, None]
+    with pytest.raises(ValueError, match="consumed"):
+        net.backward_chunk(cache, dlogits)
+    member = _Seq2Seq(3, MetaConfig(width=4, layers=2), rng_for(3))
+    outs, cache = member.forward(np.log(rng_for(4).uniform(2.0, 9.0, size=(5, 10))),
+                                 record=True)
+    member.backward(cache, np.ones_like(outs))
+    with pytest.raises(ValueError, match="consumed"):
+        member.backward(cache, np.ones_like(outs))
 
 
 def test_state_carryover_chunked_equals_single_pass():
@@ -513,6 +584,60 @@ def test_recorded_desk_chunk_of_the_seed_tree_is_small():
     tokens = rng_for(2).integers(0, 8, size=(20, 35))
     assert _mib_held(lambda: net.forward_chunk(tokens, net.zero_states(20),
                                                record=True)) < 1.0
+
+
+def _traced_peak_mib(run, before=lambda: None):
+    """MiB by which ``tracemalloc``'s peak during ``run()`` exceeds what was
+    held once ``before()`` had returned; both run under tracing."""
+    tracemalloc.start()
+    try:
+        kept = before()
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run(kept)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
+# the traced peak of the chunk below before backward reused the projection
+HETERO_CHUNK_PEAK_BEFORE_MIB = 18.22
+
+
+def test_hetero_chunk_that_pins_its_projection_writes_adjoints_into_it():
+    """A width-100 layer of five 20-unit slots, two of them a cell whose
+    reverse reads base inputs, at the desk chunk (batch 20, 35 steps): one
+    recorded forward plus backward peaks at least one (35, 20, 800)
+    projection, 4.27 MiB, below the 18.22 MiB it took with a separate
+    base-adjoint buffer (about 13.7 MiB now)."""
+    deep = parse(DEEP_GENOME.read_text())
+    trees = [deep, lstm_reference_tree(), seed_tree(), deep, lstm_reference_tree()]
+    net = build_network(NetworkSpec([heterogeneous_layer(range(5), 20)], 12, vocab_size=8),
+                        trees, rng_for(1))
+    assert net.layers.keeps_base == [True]
+    tokens = rng_for(2).integers(0, 8, size=(20, 35))
+
+    def chunk(_=None):
+        logits, _, cache = net.forward_chunk(tokens, net.zero_states(20), record=True)
+        return net.backward_chunk(cache, softmax_ce(logits, tokens)[1])
+
+    chunk()  # compiles the kernels outside the trace
+    projection = 35 * 20 * 8 * 100 * 8 / 2**20
+    assert _traced_peak_mib(chunk) <= HETERO_CHUNK_PEAK_BEFORE_MIB - projection
+
+
+def test_predictor_backward_peaks_about_one_mib_above_its_cache():
+    """The backward of a 30-step member at the predictor's shape lets each
+    step's tapes and each layer's adjoint buffer go once used, so it peaks
+    about 1 MiB (the 0.6 MiB of gradients included) above the 8.9 MiB
+    recorded cache; with every buffer kept to the end it was 3.5 MiB."""
+    from treecell.meta import MetaConfig, _Seq2Seq
+
+    member = _Seq2Seq(30, MetaConfig(width=40, layers=2), rng_for(0))
+    prefix_log = np.log(rng_for(1).uniform(2.0, 10.0, size=(50, 10)))
+    assert _traced_peak_mib(lambda cache: member.backward(cache, np.ones((50, 30))),
+                            lambda: member.forward(prefix_log, record=True)[1]) < 1.25
 
 
 def test_flat_adam_matches_per_parameter_adam_bit_for_bit():
