@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +40,12 @@ def atomic_write(path, content: str | bytes) -> None:
         with os.fdopen(fd, "wb") as fh:
             fh.write(content.encode("utf-8") if isinstance(content, str) else content)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            # name the file asked for, not the temp file
+            exc.filename, exc.filename2 = str(path), None
         raise
 
 
@@ -114,7 +116,18 @@ def cmd_evolve(args) -> int:
         ctx = EvalContext(config)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    out_dir = Path(args.out or config.paths.out_dir)
+    try:
+        return _evolve_into(Path(args.out or config.paths.out_dir), args, ctx, predictor)
+    except OSError as exc:
+        # an error that names no file is no output problem: let it show
+        if exc.filename is None:
+            raise
+        return _fail(f"{exc.filename}: {exc.strerror or exc}")
+
+
+def _evolve_into(out_dir: Path, args, ctx, predictor) -> int:
+    """The search itself, writing its outputs under ``out_dir``."""
+    config = args.experiment
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "checkpoint.json"
 
@@ -147,6 +160,9 @@ def cmd_evolve(args) -> int:
         pool = None
         try:
             if args.workers > 1:
+                # imported here: the pool's modules cost every other run start-up time
+                from concurrent.futures import ProcessPoolExecutor
+
                 pool = ProcessPoolExecutor(
                     max_workers=args.workers, initializer=_init_worker,
                     initargs=(emit_config(config),))

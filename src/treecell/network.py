@@ -139,7 +139,17 @@ def _check_finite(bases: np.ndarray, carried: list) -> None:
 
 def _add_descending(acc: np.ndarray, stack: np.ndarray) -> None:
     """acc += stack[L-1] + ... + stack[0], one step at a time, latest first,
-    the order in which backpropagation through time meets the steps."""
+    the order in which backpropagation through time meets the steps.
+
+    numpy reduces a leading axis row by row, in that order, in one pass,
+    starting from -0.0 (the exact additive identity; its default start,
+    +0.0, turns an all -0.0 column into +0.0).  It sums a one-element
+    column pairwise instead, so a one-element ``acc`` keeps the loop.
+    """
+    if len(stack) >= 2 and acc.size >= 2:
+        acc[...] = np.add.reduce(np.concatenate((acc[None], stack[::-1])), axis=0,
+                                 initial=-0.0)
+        return
     for t in range(len(stack) - 1, -1, -1):
         acc += stack[t]
 
@@ -210,14 +220,26 @@ class RecurrentLayers:
                 xs = xs * masks["ff"][li]
                 rec = masks["rec"][li]
             xproj = xs @ params[w_name]
+            length, batch = xproj.shape[:2]
+            if length > 1:
+                # a same-shape add per step is faster than a broadcast one; a
+                # 1-step sequence (each predictor decoder step) keeps the broadcast
+                b = np.broadcast_to(b, xproj.shape[1:]).copy()
+            bases = xproj.reshape(length, batch, N_BASE_INPUTS,
+                                  self.widths[li]).transpose(0, 2, 1, 3)
+            cell = slots[0][0] if len(slots) == 1 else None
             state = states[li]
             hs, cs, ds, h_prevs, tapes = [], [state.c], [state.d], [], []
-            for pre in xproj:
+            for pre, base in zip(xproj, bases):
                 h_prev = state.h if rec is None else state.h * rec
                 pre += h_prev @ u
                 pre += b
-                base = pre.reshape(pre.shape[0], N_BASE_INPUTS, -1).transpose(1, 0, 2)
-                state, tape = self._cells_forward(slots, base, state, record)
+                if cell is None:
+                    state, tape = self._slots_forward(slots, base, state, record)
+                elif record:
+                    state, tape = cell_forward(cell, base, state, record=True)
+                else:
+                    state = cell_forward(cell, base, state)
                 hs.append(state.h)
                 cs.append(state.c)
                 ds.append(state.d)
@@ -236,12 +258,9 @@ class RecurrentLayers:
             xs = hs[0][None] if len(hs) == 1 else np.array(hs)
         return xs, new_states, caches
 
-    def _cells_forward(self, slots, base, state, record):
-        """One step of a layer's cells; returns (new state, tape), where the
-        tape (None unless ``record``) is the cell's, or a list of one per slot."""
-        if len(slots) == 1:
-            out = cell_forward(slots[0][0], base, state, record=record)
-            return out if record else (out, None)
+    def _slots_forward(self, slots, base, state, record):
+        """One step of a multi-slot layer's cells; returns (new state, tapes),
+        where the tapes (None unless ``record``) are a list of one per slot."""
         batch, width = state.h.shape
         out = CellState(np.empty((batch, width), dtype=self.dtype),
                         np.empty((batch, width), dtype=self.dtype),
@@ -297,33 +316,36 @@ class RecurrentLayers:
         if dpres is None:
             dpres = np.empty((length, batch, N_BASE_INPUTS * width), dtype=self.dtype)
         douts = dpres.reshape(length, batch, N_BASE_INPUTS, width).transpose(0, 2, 1, 3)
+        cell = slots[0][0] if len(slots) == 1 else None
+        dh_prev, dc, dd = state.h, state.c, state.d
         for t in range(length - 1, -1, -1):
-            dh = dh_above[t] + state.h
-            dc_prev, dd_prev = self._cells_backward(slots, tapes.pop(), dh, state, douts[t])
+            dh = dh_above[t] + dh_prev
+            if cell is None:
+                dc, dd = self._slots_backward(slots, tapes.pop(), dh, dc, dd, douts[t])
+            else:
+                cg = cell_backward(cell, tapes.pop(), dh, dc, dd, out=douts[t])
+                dc, dd = cg.c_prev, cg.d_prev
             dpre = dpres[t]
             grad_w += xs[t].T @ dpre
             grad_u += h_prevs.pop().T @ dpre
             dh_prev = dpre @ u_t
             if rec is not None:
                 dh_prev = dh_prev * rec
-            state = CellState(dh_prev, dc_prev, dd_prev)
         _add_descending(grads[b_name], _batch_sums(dpres))
         dh_below = dpres @ params[w_name].T
         if masks is not None:
             dh_below = dh_below * masks["ff"][li]
-        return dh_below, state
+        return dh_below, CellState(dh_prev, dc, dd)
 
-    def _cells_backward(self, slots, tape, dh, carry, dbase):
-        """One reverse step of a layer's cells; writes the base adjoint into
-        ``dbase`` (8, B, W) and returns (dc_prev, dd_prev)."""
-        if len(slots) == 1:
-            cg = cell_backward(slots[0][0], tape, dh, carry.c, carry.d, out=dbase)
-            return cg.c_prev, cg.d_prev
+    def _slots_backward(self, slots, tapes, dh, dc, dd, dbase):
+        """One reverse step of a multi-slot layer's cells, from the adjoints
+        of h, c and d; writes the base adjoint into ``dbase`` (8, B, W) and
+        returns (dc_prev, dd_prev)."""
         dc_prev = np.empty_like(dh)
         dd_prev = np.empty_like(dh)
-        for (cell, lo, hi), slot_tape in zip(slots, tape):
-            cg = cell_backward(cell, slot_tape, dh[:, lo:hi], carry.c[:, lo:hi],
-                               carry.d[:, lo:hi], out=dbase[:, :, lo:hi])
+        for (cell, lo, hi), slot_tape in zip(slots, tapes):
+            cg = cell_backward(cell, slot_tape, dh[:, lo:hi], dc[:, lo:hi],
+                               dd[:, lo:hi], out=dbase[:, :, lo:hi])
             dc_prev[:, lo:hi] = cg.c_prev
             dd_prev[:, lo:hi] = cg.d_prev
         return dc_prev, dd_prev

@@ -403,6 +403,40 @@ def test_final_write_that_fails_is_clean_error(tmp_path, genome_file, capsys, mo
     assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("out")) == []
 
 
+def test_evolve_out_that_is_a_file_is_clean_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.write_text("kept")
+    assert main(["evolve", "--config", str(tiny_config(tmp_path)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith(f"error: {out}: File exists\n")
+    assert out.read_text() == "kept"
+
+
+def test_evolve_write_that_fails_is_clean_error(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "run"
+
+    def replace_on_a_full_disk(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", replace_on_a_full_disk)
+    assert main(["evolve", "--config", str(tiny_config(tmp_path)), "--out", str(out)]) == 1
+    # the first generation's stats.csv is the first file written whole
+    assert capsys.readouterr().err.endswith(
+        f"error: {out / 'stats.csv'}: No space left on device\n")
+    assert sorted(p.name for p in out.iterdir()) == ["lineage.log"]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """Only ``evolve --workers N`` with N > 1 needs the pool's modules, so
+    every other command starts without them."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, treecell.cli; print(sorted(m for m in sys.modules "
+         "if m == 'concurrent.futures.process' or m.split('.')[0] == 'multiprocessing'))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_hetero_pool_of_one_and_count_zero(tmp_path, capsys):
     pool = tmp_path / "pool"
     pool.mkdir()

@@ -21,6 +21,7 @@ from treecell.network import (
     LayerSpec,
     NetworkSpec,
     RecurrentLayers,
+    _add_descending,
     _scatter_rows,
     build_network,
     heterogeneous_layer,
@@ -227,28 +228,24 @@ READS_BASE = build_tree(("mul", ("sigmoid", "x3"),
                                    ("mul@d", ("relu", "x0"), ("tanh", "dprev"))))))
 
 
-@pytest.mark.parametrize("dropout", [False, True])
-@pytest.mark.parametrize("order", ["base-reader first", "base-reader second"])
-def test_layer_that_reuses_its_projection_matches_step_major_bit_for_bit(dropout, order):
-    """Two layers of two slots, one cell whose reverse reads base inputs and
-    one whose reverse does not: the reused projection gives the step-major
-    engine's logits, final states and gradients, bit for bit."""
-    trees = [READS_BASE, lstm_reference_tree()]
-    if order == "base-reader second":
-        trees.reverse()
-    spec = NetworkSpec([LayerSpec(24, [(0, 10), (1, 14)])] * 2, 12, vocab_size=8)
-    net = build_network(spec, trees, rng_for(31))
-    assert net.layers.keeps_base == [True, True]
-    rng = rng_for(32)
-    x = rng.integers(0, 8, size=(20, 35))
-    y = rng.integers(0, 8, size=(20, 35))
+def _matches_step_major(net, length, dropout, seed):
+    """Runs a recorded chunk of ``length`` steps, with non-zero biases and
+    random carried-in states, through ``net`` and through the step-major
+    engine; asserts equal logits, final states and gradients, bit for bit.
+    Returns whether each layer kept its projection for the backward."""
+    rng = rng_for(seed)
+    for w_name, u_name, b_name in net.layers.names:
+        # a bias of zeros would hide a tiled bias that is wrong
+        net.params[b_name][...] = rng.normal(size=net.params[b_name].shape)
+    x = rng.integers(0, 8, size=(20, length))
+    y = rng.integers(0, 8, size=(20, length))
     masks = None
     if dropout:
         masks = draw_masks(net, 20, TrainConfig(dropout_ff=0.4, dropout_rec=0.3), rng)
     states = [CellState(*(rng.normal(size=s.h.shape) for _ in range(3)))
               for s in net.zero_states(20)]
     logits, final, cache = net.forward_chunk(x, states, masks, record=True)
-    assert all(layer["xproj"] is not None for layer in cache["layers"])
+    kept = [layer["xproj"] is not None for layer in cache["layers"]]
     ref_logits, ref_final, ref_cache = step_major_forward_chunk(net, x, states, masks,
                                                                 record=True)
     _, dlogits = softmax_ce(logits, y)
@@ -262,6 +259,72 @@ def test_layer_that_reuses_its_projection_matches_step_major_bit_for_bit(dropout
     assert grads.keys() == ref_grads.keys()
     for name in grads:
         assert np.array_equal(_bits(grads[name]), _bits(ref_grads[name])), name
+    return kept
+
+
+@pytest.mark.parametrize("length", [1, 35])
+@pytest.mark.parametrize("dropout", [False, True])
+@pytest.mark.parametrize("order", ["base-reader first", "base-reader second"])
+def test_layer_that_reuses_its_projection_matches_step_major_bit_for_bit(dropout, order,
+                                                                        length):
+    """Two layers of two slots, one cell whose reverse reads base inputs and
+    one whose reverse does not: the reused projection gives the step-major
+    engine's logits, final states and gradients, bit for bit.  A 35-step
+    chunk adds a tiled bias; a 1-step chunk, the broadcast one."""
+    trees = [READS_BASE, lstm_reference_tree()]
+    if order == "base-reader second":
+        trees.reverse()
+    spec = NetworkSpec([LayerSpec(24, [(0, 10), (1, 14)])] * 2, 12, vocab_size=8)
+    net = build_network(spec, trees, rng_for(31))
+    assert net.layers.keeps_base == [True, True]
+    assert _matches_step_major(net, length, dropout, 32) == [True, True]
+
+
+@pytest.mark.parametrize("length", [1, 35])
+@pytest.mark.parametrize("dropout", [False, True])
+def test_one_slot_layers_match_step_major_bit_for_bit(dropout, length):
+    """Two one-slot layers, whose time loops call the cell directly: one
+    that reuses its projection in reverse and one that does not."""
+    spec = NetworkSpec([LayerSpec(24, [(0, 24)]), LayerSpec(16, [(1, 16)])], 12,
+                       vocab_size=8)
+    net = build_network(spec, [READS_BASE, lstm_reference_tree()], rng_for(33))
+    assert _matches_step_major(net, length, dropout, 34) == [True, False]
+
+
+def _descending_cases():
+    """(name, acc, stack) over step counts, accumulator shapes and dtypes,
+    with non-zero accumulators, and with signed zeros: a column of -0.0
+    throughout, whose sum is -0.0, and a +0.0 start over a -0.0 column."""
+    rng = rng_for(41)
+    widths = (1, 2, 7, 8, 192, 800)
+    for dtype in (np.float32, np.float64):
+        for length in (1, 2, 7, 8, 9, 35):
+            for shape in [(n,) for n in widths] + [(3, n) for n in widths]:
+                size = (length, *shape)
+                stack = rng.normal(size=size) * 10.0 ** rng.integers(-6, 7, size=size)
+                acc = rng.normal(size=shape)
+                name = f"{np.dtype(dtype).name} L={length} {shape}"
+                yield f"{name} non-zero", acc.astype(dtype), stack.astype(dtype)
+                stack[rng.random(size) < 0.5] = -0.0
+                stack[..., :2] = -0.0
+                acc[rng.random(shape) < 0.5] = -0.0
+                acc[..., 0] = -0.0
+                acc[..., 1:2] = 0.0
+                yield f"{name} signed zeros", acc.astype(dtype), stack.astype(dtype)
+
+
+def test_add_descending_matches_the_step_loop_bit_for_bit():
+    """The one-pass sum against acc += stack[t] for t descending."""
+    differ = []
+    for name, acc, stack in _descending_cases():
+        expected = acc.copy()
+        for t in range(len(stack) - 1, -1, -1):
+            expected += stack[t]
+        _add_descending(acc, stack)
+        if acc.dtype != expected.dtype or not np.array_equal(acc.view(np.uint8),
+                                                             expected.view(np.uint8)):
+            differ.append(name)
+    assert differ == []
 
 
 def test_a_backward_consumes_its_cache():
