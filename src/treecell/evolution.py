@@ -220,8 +220,14 @@ class LineageLog:
 
     def record(self, generation, key, op, parents, child) -> None:
         line = "\t".join([str(generation), str(key), op, "|".join(parents), child])
-        self.sink.write(line + "\n")
-        self.sink.flush()
+        try:
+            self.sink.write(line + "\n")
+            self.sink.flush()
+        except OSError as exc:
+            # a failed write or flush names no file; name the log's
+            if exc.filename is None:
+                exc.filename = getattr(self.sink, "name", None)
+            raise
 
 
 def replay_line(line: str, config: EvolutionConfig) -> str:

@@ -139,17 +139,7 @@ def _check_finite(bases: np.ndarray, carried: list) -> None:
 
 def _add_descending(acc: np.ndarray, stack: np.ndarray) -> None:
     """acc += stack[L-1] + ... + stack[0], one step at a time, latest first,
-    the order in which backpropagation through time meets the steps.
-
-    numpy reduces a leading axis row by row, in that order, in one pass,
-    starting from -0.0 (the exact additive identity; its default start,
-    +0.0, turns an all -0.0 column into +0.0).  It sums a one-element
-    column pairwise instead, so a one-element ``acc`` keeps the loop.
-    """
-    if len(stack) >= 2 and acc.size >= 2:
-        acc[...] = np.add.reduce(np.concatenate((acc[None], stack[::-1])), axis=0,
-                                 initial=-0.0)
-        return
+    the order in which backpropagation through time meets the steps."""
     for t in range(len(stack) - 1, -1, -1):
         acc += stack[t]
 
@@ -220,12 +210,9 @@ class RecurrentLayers:
                 xs = xs * masks["ff"][li]
                 rec = masks["rec"][li]
             xproj = xs @ params[w_name]
-            length, batch = xproj.shape[:2]
-            if length > 1:
-                # a same-shape add per step is faster than a broadcast one; a
-                # 1-step sequence (each predictor decoder step) keeps the broadcast
-                b = np.broadcast_to(b, xproj.shape[1:]).copy()
-            bases = xproj.reshape(length, batch, N_BASE_INPUTS,
+            # a same-shape add per step is faster than a broadcast one
+            b = np.broadcast_to(b, xproj.shape[1:]).copy()
+            bases = xproj.reshape(*xproj.shape[:2], N_BASE_INPUTS,
                                   self.widths[li]).transpose(0, 2, 1, 3)
             cell = slots[0][0] if len(slots) == 1 else None
             state = states[li]
@@ -236,10 +223,10 @@ class RecurrentLayers:
                 pre += b
                 if cell is None:
                     state, tape = self._slots_forward(slots, base, state, record)
-                elif record:
-                    state, tape = cell_forward(cell, base, state, record=True)
                 else:
-                    state = cell_forward(cell, base, state)
+                    state = cell_forward(cell, base, state, record=record)
+                    if record:
+                        state, tape = state
                 hs.append(state.h)
                 cs.append(state.c)
                 ds.append(state.d)

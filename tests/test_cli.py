@@ -425,6 +425,26 @@ def test_evolve_write_that_fails_is_clean_error(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == ["lineage.log"]
 
 
+def test_evolve_lineage_write_that_fails_is_clean_error(tmp_path, capsys, monkeypatch):
+    """The lineage log is written line by line, so on a full disk it is
+    most often the first output to fail."""
+    out = tmp_path / "run"
+
+    def open_on_a_full_disk(*args, **kwargs):
+        sink = open(*args, **kwargs)
+
+        def write(text):
+            raise OSError(28, "No space left on device")
+
+        sink.write = write
+        return sink
+
+    monkeypatch.setattr(cli, "open", open_on_a_full_disk, raising=False)
+    assert main(["evolve", "--config", str(tiny_config(tmp_path)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: {out / 'lineage.log'}: No space left on device\n")
+
+
 def test_importing_the_cli_loads_no_process_pool():
     """Only ``evolve --workers N`` with N > 1 needs the pool's modules, so
     every other command starts without them."""

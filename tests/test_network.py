@@ -269,8 +269,8 @@ def test_layer_that_reuses_its_projection_matches_step_major_bit_for_bit(dropout
                                                                         length):
     """Two layers of two slots, one cell whose reverse reads base inputs and
     one whose reverse does not: the reused projection gives the step-major
-    engine's logits, final states and gradients, bit for bit.  A 35-step
-    chunk adds a tiled bias; a 1-step chunk, the broadcast one."""
+    engine's logits, final states and gradients, bit for bit, with the
+    bias tiled once per chunk of 1 and of 35 steps."""
     trees = [READS_BASE, lstm_reference_tree()]
     if order == "base-reader second":
         trees.reverse()
@@ -314,7 +314,8 @@ def _descending_cases():
 
 
 def test_add_descending_matches_the_step_loop_bit_for_bit():
-    """The one-pass sum against acc += stack[t] for t descending."""
+    """``_add_descending`` against acc += stack[t] for t descending: a
+    faster form must pass this sweep (a bare ``np.add.reduce`` does not)."""
     differ = []
     for name, acc, stack in _descending_cases():
         expected = acc.copy()
