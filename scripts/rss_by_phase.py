@@ -9,8 +9,9 @@ in the unit's order: ``treecell train`` on each panel genome, the
 ``treecell hetero`` sweep, and the curve-predictor fit with its held-out
 predictions.  After each part it prints the process's ``ru_maxrss`` so far,
 in MB as perfbench reports ``peak_rss_mb``, so the phase that first reaches
-the unit's peak is the one that sets it.  BLAS is pinned to one thread, as
-in perfbench.  Nothing under ``perfbench/`` is changed.
+the unit's peak is the one that sets it, and the part's wall seconds, which
+split the unit's time.  BLAS is pinned to one thread, as in perfbench.
+Nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import os
 import resource
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,20 +39,25 @@ def peak_mb() -> float:
 
 
 def run_phases(seed: int, workdir: Path):
-    """Yield (phase, exit code or None, peak MB so far) for each part of one unit."""
+    """Yield (phase, exit code or None, peak MB so far, wall seconds) for each
+    part of one unit."""
+    start = time.perf_counter()
     panel = workloads.TrainPanel(seed, workdir)
-    yield "setup", None, peak_mb()
+    yield "setup", None, peak_mb(), time.perf_counter() - start
     for name, path in panel.genome_paths.items():
+        start = time.perf_counter()
         rc = workloads._quiet_cli(["train", path, "--config", panel.train_config,
                                    "--out", workdir / f"curve-{name}.csv"])
-        yield f"train {name}", rc, peak_mb()
+        yield f"train {name}", rc, peak_mb(), time.perf_counter() - start
+    start = time.perf_counter()
     rc = workloads._quiet_cli(["hetero", panel.pool, "--config", panel.hetero_config,
                                "--count", workloads.HETERO_COUNT,
                                "--out", workdir / "hetero.csv"])
-    yield "hetero", rc, peak_mb()
+    yield "hetero", rc, peak_mb(), time.perf_counter() - start
+    start = time.perf_counter()
     model = meta.train_meta(panel.samples, panel.meta_config)
     model.predict_batch(panel.prefixes)
-    yield "predictor fit", None, peak_mb()
+    yield "predictor fit", None, peak_mb(), time.perf_counter() - start
 
 
 def main(argv=None) -> int:
@@ -60,9 +67,10 @@ def main(argv=None) -> int:
     os.chdir(ROOT)  # the workload reads configs/ relative to the repository root
     failed = False
     with tempfile.TemporaryDirectory(prefix="rss-by-phase-") as tmp:
-        for phase, rc, mb in run_phases(args.seed, Path(tmp)):
+        for phase, rc, mb, seconds in run_phases(args.seed, Path(tmp)):
             status = "" if rc is None else f"  exit {rc}"
-            print(f"{phase:<14} ru_maxrss {mb:8.2f} MB{status}", flush=True)
+            print(f"{phase:<14} ru_maxrss {mb:8.2f} MB  wall {seconds:6.2f} s{status}",
+                  flush=True)
             failed |= bool(rc)
     return 1 if failed else 0
 

@@ -3,7 +3,8 @@
 Commands: evolve, train, hetero, distance, meta, validate.  All file
 outputs are written atomically (temp file + rename), CSVs carry a header
 row and trailing newline, and runs are byte-reproducible given a seed,
-single worker, and 64-bit precision.
+single worker, and 64-bit precision.  An OSError that names a file, such
+as an output that cannot be written, exits 1 with ``error: <file>: <reason>``.
 """
 
 from __future__ import annotations
@@ -116,18 +117,7 @@ def cmd_evolve(args) -> int:
         ctx = EvalContext(config)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    try:
-        return _evolve_into(Path(args.out or config.paths.out_dir), args, ctx, predictor)
-    except OSError as exc:
-        # an error that names no file is no output problem: let it show
-        if exc.filename is None:
-            raise
-        return _fail(f"{exc.filename}: {exc.strerror or exc}")
-
-
-def _evolve_into(out_dir: Path, args, ctx, predictor) -> int:
-    """The search itself, writing its outputs under ``out_dir``."""
-    config = args.experiment
+    out_dir = Path(args.out or config.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "checkpoint.json"
 
@@ -207,11 +197,7 @@ def cmd_train(args) -> int:
     seconds = curve.seconds if args.timing else [0.0] * len(curve.metrics)
     rows = [(i + 1, m, s)
             for i, (m, s) in enumerate(zip(curve.metrics, seconds))]
-    out = args.out or "curve.csv"
-    try:
-        write_csv(out, ("epoch", curve.metric_name, "seconds"), rows)
-    except OSError as exc:
-        return _fail(f"{out}: {exc.strerror or exc}")
+    write_csv(args.out or "curve.csv", ("epoch", curve.metric_name, "seconds"), rows)
     print(f"final {curve.metric_name}: {curve.final()}")
     return 0
 
@@ -235,8 +221,6 @@ def cmd_hetero(args) -> int:
             return _fail(f"{f}:{exc}")
         except UnicodeDecodeError as exc:
             return _fail(f"{f}: not UTF-8 text ({exc.reason})")
-        except OSError as exc:
-            return _fail(f"{f}: {exc.strerror or exc}")
     if not genomes:
         return _fail("pool contains no genomes")
     cardinality = config.network.cardinality
@@ -266,11 +250,7 @@ def cmd_hetero(args) -> int:
     results.sort(key=lambda r: r[0])
     rows = [(rank + 1, fitness, "|".join(texts))
             for rank, (fitness, texts) in enumerate(results)]
-    out = args.out or "hetero.csv"
-    try:
-        write_csv(out, ("rank", "fitness", "genomes"), rows)
-    except OSError as exc:
-        return _fail(f"{out}: {exc.strerror or exc}")
+    write_csv(args.out or "hetero.csv", ("rank", "fitness", "genomes"), rows)
     return 0
 
 
@@ -317,10 +297,7 @@ def cmd_meta(args) -> int:
         out = args.out or "meta_model.npz"
         blob = io.BytesIO()
         meta.save_model(model, blob)
-        try:
-            atomic_write(out, blob.getvalue())
-        except OSError as exc:
-            return _fail(f"{out}: {exc.strerror or exc}")
+        atomic_write(out, blob.getvalue())
         print(f"saved model to {out}")
         return 0
     # predict
@@ -418,7 +395,14 @@ def main(argv=None) -> int:
             args.experiment = _load_experiment(args)
         except (OSError, ValueError, configparser.Error) as exc:
             return _fail(str(exc))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # every command's file errors end here; one that names no file is
+        # no file problem: let it show
+        if exc.filename is None:
+            raise
+        return _fail(f"{exc.filename}: {exc.strerror or exc}")
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ Trainable parameters are the embedding, eight per-layer input projections
 combining the layer input with the previous-step h, and the output head;
 edges inside the cells carry no parameters, so the cell's memory-cell
 count never changes the parameter count.  :class:`RecurrentLayers` is the
-one layer engine, run over a whole sequence layer by layer; the curve
-predictor in ``meta`` builds on it too.
+one layer engine, run over a whole sequence layer by layer, one cell per
+layer; the curve predictor in ``meta`` builds on it too.
 """
 
 from __future__ import annotations
@@ -144,13 +144,43 @@ def _add_descending(acc: np.ndarray, stack: np.ndarray) -> None:
         acc += stack[t]
 
 
+class CellRow:
+    """Compiled cells side by side over column ranges, stepped as one cell.
+
+    ``slots`` holds (cell, lo, hi) per slot.  Like a compiled cell, the row
+    has the kernels :func:`cell_forward` and :func:`cell_backward` call: each
+    runs every slot's kernel on its columns and joins the results (backward
+    writes into the ``base`` it is given); a tape lists the slots' tapes.
+    """
+
+    def __init__(self, slots):
+        self.slots = slots
+        self.n_slots = len(slots)   # the tape's length
+        self.keeps_base = any(cell.keeps_base for cell, _, _ in slots)
+
+    def forward(self, base, c, d):
+        steps = [cell.forward(base[..., lo:hi], c[..., lo:hi], d[..., lo:hi])
+                 for cell, lo, hi in self.slots]
+        hs, cs, ds, tapes = zip(*steps)
+        return (np.concatenate(hs, axis=-1), np.concatenate(cs, axis=-1),
+                np.concatenate(ds, axis=-1), list(tapes))
+
+    def backward(self, tapes, gh, gc, gd, base):
+        # each slot reads its tape, then writes only its own columns of base
+        steps = [cell.backward(tape, gh[..., lo:hi], gc[..., lo:hi], gd[..., lo:hi],
+                               base[..., lo:hi])
+                 for (cell, lo, hi), tape in zip(self.slots, tapes)]
+        _, dcs, dds = zip(*steps)
+        return base, np.concatenate(dcs, axis=-1), np.concatenate(dds, axis=-1)
+
+
 class RecurrentLayers:
     """A stack of recurrent layers, run over a sequence one layer at a time.
 
-    Each layer projects its input and the previous-step h to the eight
-    base inputs of every unit, then runs compiled cells over column slots.
-    ``slots`` holds, per layer, (compiled cell, cardinality) pairs; the
-    parameters ``{prefix}layer{i}.W|U|b`` are created in ``params``.
+    Each layer projects its input and the previous-step h to the eight base
+    inputs of every unit, then steps one cell (a :class:`CellRow` for several
+    slots).  ``slots`` holds, per layer, (compiled cell, cardinality) pairs;
+    the parameters ``{prefix}layer{i}.W|U|b`` are created in ``params``.
 
     A layer multiplies its whole input sequence by W in one stacked matmul,
     so the time loop keeps only the recurrent work: h_prev @ U, the bias and
@@ -171,10 +201,12 @@ class RecurrentLayers:
                 offset += card
             self.cells.append(compiled)
         self.widths = [layer[-1][2] for layer in self.cells]
+        # the one cell each layer's time loops step
+        self.layer_cells = [layer[0][0] if len(layer) == 1 else CellRow(layer)
+                            for layer in self.cells]
         # the layers whose tapes pin their projection, which backward then
         # reuses as its base-adjoint buffer
-        self.keeps_base = [any(cell.keeps_base for cell, _, _ in layer)
-                           for layer in self.cells]
+        self.keeps_base = [cell.keeps_base for cell in self.layer_cells]
         self.names = [tuple(f"{prefix}layer{li}.{p}" for p in "WUb")
                       for li in range(len(self.cells))]
         prev = in_dim
@@ -202,7 +234,7 @@ class RecurrentLayers:
         """
         new_states = []
         caches = [] if record else None
-        for li, slots in enumerate(self.cells):
+        for li, cell in enumerate(self.layer_cells):
             w_name, u_name, b_name = self.names[li]
             u, b = params[u_name], params[b_name]
             rec = None
@@ -214,19 +246,15 @@ class RecurrentLayers:
             b = np.broadcast_to(b, xproj.shape[1:]).copy()
             bases = xproj.reshape(*xproj.shape[:2], N_BASE_INPUTS,
                                   self.widths[li]).transpose(0, 2, 1, 3)
-            cell = slots[0][0] if len(slots) == 1 else None
             state = states[li]
             hs, cs, ds, h_prevs, tapes = [], [state.c], [state.d], [], []
             for pre, base in zip(xproj, bases):
                 h_prev = state.h if rec is None else state.h * rec
                 pre += h_prev @ u
                 pre += b
-                if cell is None:
-                    state, tape = self._slots_forward(slots, base, state, record)
-                else:
-                    state = cell_forward(cell, base, state, record=record)
-                    if record:
-                        state, tape = state
+                state = cell_forward(cell, base, state, record=record)
+                if record:
+                    state, tape = state
                 hs.append(state.h)
                 cs.append(state.c)
                 ds.append(state.d)
@@ -244,26 +272,6 @@ class RecurrentLayers:
             # one per step, and a copy there raises its peak memory
             xs = hs[0][None] if len(hs) == 1 else np.array(hs)
         return xs, new_states, caches
-
-    def _slots_forward(self, slots, base, state, record):
-        """One step of a multi-slot layer's cells; returns (new state, tapes),
-        where the tapes (None unless ``record``) are a list of one per slot."""
-        batch, width = state.h.shape
-        out = CellState(np.empty((batch, width), dtype=self.dtype),
-                        np.empty((batch, width), dtype=self.dtype),
-                        np.empty((batch, width), dtype=self.dtype))
-        tapes = [] if record else None
-        for cell, lo, hi in slots:
-            sub = cell_forward(cell, base[:, :, lo:hi],
-                               CellState(state.h[:, lo:hi], state.c[:, lo:hi],
-                                         state.d[:, lo:hi]), record=record)
-            if record:
-                sub, tape = sub
-                tapes.append(tape)
-            out.h[:, lo:hi] = sub.h
-            out.c[:, lo:hi] = sub.c
-            out.d[:, lo:hi] = sub.d
-        return out, tapes
 
     def backward(self, params, grads, cache, dh_top, carry, masks=None):
         """Reverse of :meth:`forward`; returns the adjoint of ``xs``.
@@ -288,7 +296,7 @@ class RecurrentLayers:
         """One layer of :meth:`backward`, popping each step's tape and h_prev
         from ``layer`` as it goes; returns the adjoints of the layer's input
         and of its carried-in state."""
-        slots = self.cells[li]
+        cell = self.layer_cells[li]
         w_name, u_name, b_name = self.names[li]
         grad_w, grad_u = grads[w_name], grads[u_name]
         u_t = params[u_name].T
@@ -297,21 +305,17 @@ class RecurrentLayers:
         # the cells write each step's base adjoint (8, B, W) into a (L, B, 8W)
         # buffer, so every dpre and the stack are views.  A projection that the
         # tapes pin has that layout and is that buffer: a cell reads its tape
-        # before it writes, and writes only its own columns of the step it reads
+        # before it writes, and a row's slot writes only its own columns
         length, batch, width = len(tapes), state.h.shape[0], self.widths[li]
         dpres = layer.pop("xproj")
         if dpres is None:
             dpres = np.empty((length, batch, N_BASE_INPUTS * width), dtype=self.dtype)
         douts = dpres.reshape(length, batch, N_BASE_INPUTS, width).transpose(0, 2, 1, 3)
-        cell = slots[0][0] if len(slots) == 1 else None
         dh_prev, dc, dd = state.h, state.c, state.d
         for t in range(length - 1, -1, -1):
             dh = dh_above[t] + dh_prev
-            if cell is None:
-                dc, dd = self._slots_backward(slots, tapes.pop(), dh, dc, dd, douts[t])
-            else:
-                cg = cell_backward(cell, tapes.pop(), dh, dc, dd, out=douts[t])
-                dc, dd = cg.c_prev, cg.d_prev
+            cg = cell_backward(cell, tapes.pop(), dh, dc, dd, out=douts[t])
+            dc, dd = cg.c_prev, cg.d_prev
             dpre = dpres[t]
             grad_w += xs[t].T @ dpre
             grad_u += h_prevs.pop().T @ dpre
@@ -323,19 +327,6 @@ class RecurrentLayers:
         if masks is not None:
             dh_below = dh_below * masks["ff"][li]
         return dh_below, CellState(dh_prev, dc, dd)
-
-    def _slots_backward(self, slots, tapes, dh, dc, dd, dbase):
-        """One reverse step of a multi-slot layer's cells, from the adjoints
-        of h, c and d; writes the base adjoint into ``dbase`` (8, B, W) and
-        returns (dc_prev, dd_prev)."""
-        dc_prev = np.empty_like(dh)
-        dd_prev = np.empty_like(dh)
-        for (cell, lo, hi), slot_tape in zip(slots, tapes):
-            cg = cell_backward(cell, slot_tape, dh[:, lo:hi], dc[:, lo:hi],
-                               dd[:, lo:hi], out=dbase[:, :, lo:hi])
-            dc_prev[:, lo:hi] = cg.c_prev
-            dd_prev[:, lo:hi] = cg.d_prev
-        return dc_prev, dd_prev
 
 
 class Network:

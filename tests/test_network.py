@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecell.compiler import CellState, compile_tree, lstm_reference_tree
+from treecell.compiler import (
+    CellState,
+    cell_backward,
+    cell_forward,
+    compile_tree,
+    lstm_reference_tree,
+)
 from treecell.data import (
     delayed_copy_task,
     generate_pianoroll,
@@ -17,6 +23,7 @@ from treecell.data import (
 from treecell.genetic import random_genome
 from treecell.grammar import parse
 from treecell.network import (
+    CellRow,
     FlatParams,
     LayerSpec,
     NetworkSpec,
@@ -157,7 +164,8 @@ def test_network_gradients_match_finite_differences(case):
 
 
 def _bits(a):
-    return np.ascontiguousarray(a).view(np.int64)
+    a = np.ascontiguousarray(a)
+    return a.view(f"i{a.itemsize}")
 
 
 ENGINE_TREES = st.one_of(
@@ -242,7 +250,7 @@ def _matches_step_major(net, length, dropout, seed):
     masks = None
     if dropout:
         masks = draw_masks(net, 20, TrainConfig(dropout_ff=0.4, dropout_rec=0.3), rng)
-    states = [CellState(*(rng.normal(size=s.h.shape) for _ in range(3)))
+    states = [CellState(*(rng.normal(size=s.h.shape).astype(net.dtype) for _ in range(3)))
               for s in net.zero_states(20)]
     logits, final, cache = net.forward_chunk(x, states, masks, record=True)
     kept = [layer["xproj"] is not None for layer in cache["layers"]]
@@ -289,6 +297,55 @@ def test_one_slot_layers_match_step_major_bit_for_bit(dropout, length):
                        vocab_size=8)
     net = build_network(spec, [READS_BASE, lstm_reference_tree()], rng_for(33))
     assert _matches_step_major(net, length, dropout, 34) == [True, False]
+
+
+# passes c and d through, and its reverse reads no base input
+PASSES_THROUGH = build_tree(("tanh", ("add", ("mul", ("sigmoid", ("add", "x0", "x1")),
+                                              ("tanh", "x2")),
+                                     ("add", "cprev", ("tanh", "dprev")))))
+
+# trees, slots and dtype of each layer of a two-layer net of rows
+ROWS = {
+    "one cell twice": ([READS_BASE], [(0, 12), (0, 12)], np.float64),
+    "all pass through": ([seed_tree(), PASSES_THROUGH], [(0, 10), (1, 14)], np.float64),
+    "float32": ([READS_BASE, lstm_reference_tree()], [(0, 10), (1, 14)], np.float32),
+}
+
+
+@pytest.mark.parametrize("length", [1, 35])
+@pytest.mark.parametrize("dropout", [False, True])
+@pytest.mark.parametrize("row", ROWS)
+def test_rows_match_step_major_bit_for_bit(row, dropout, length):
+    """Layers that each step one ``CellRow``: two adjacent slots of one
+    cell, slots that all pass c and d through, and a row at float32."""
+    trees, slots, dtype = ROWS[row]
+    spec = NetworkSpec([LayerSpec(24, slots)] * 2, 12, vocab_size=8)
+    net = build_network(spec, trees, rng_for(35), dtype=dtype)
+    assert [type(cell) for cell in net.layers.layer_cells] == [CellRow, CellRow]
+    kept = row != "all pass through"
+    assert _matches_step_major(net, length, dropout, 36) == [kept, kept]
+
+
+def test_row_backward_writes_the_base_adjoints_its_slots_write():
+    """``cell_backward`` on a row writes into ``out`` the base adjoints that
+    per-slot calls write, column for column, and joins their dc and dd."""
+    trees = [READS_BASE, lstm_reference_tree(), BOTH_TAPS, seed_tree(), READS_BASE]
+    bounds = [0, 3, 7, 8, 13, 16]
+    slots = [(compile_tree(t), lo, hi) for t, lo, hi in zip(trees, bounds, bounds[1:])]
+    row = CellRow(slots)
+    rng = rng_for(37)
+    base = rng.normal(size=(8, 5, 16))
+    _, tape = cell_forward(row, base, CellState(*(rng.normal(size=(5, 16)) for _ in range(3))),
+                           record=True)
+    gh, gc, gd = (rng.normal(size=(5, 16)) for _ in range(3))
+    out = np.full((5, 8, 16), np.nan).transpose(1, 0, 2)
+    got = cell_backward(row, tape, gh, gc, gd, out=out)
+    assert got.base is out
+    for (cell, lo, hi), slot_tape in zip(slots, tape):
+        want = cell_backward(cell, slot_tape, gh[:, lo:hi], gc[:, lo:hi], gd[:, lo:hi])
+        assert np.array_equal(_bits(out[:, :, lo:hi]), _bits(want.base)), (lo, hi)
+        assert np.array_equal(_bits(got.c_prev[:, lo:hi]), _bits(want.c_prev)), (lo, hi)
+        assert np.array_equal(_bits(got.d_prev[:, lo:hi]), _bits(want.d_prev)), (lo, hi)
 
 
 def _descending_cases():
