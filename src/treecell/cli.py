@@ -3,8 +3,10 @@
 Commands: evolve, train, hetero, distance, meta, validate.  All file
 outputs are written atomically (temp file + rename), CSVs carry a header
 row and trailing newline, and runs are byte-reproducible given a seed,
-single worker, and 64-bit precision.  An OSError that names a file, such
-as an output that cannot be written, exits 1 with ``error: <file>: <reason>``.
+single worker, and 64-bit precision.  Commands raise their input errors
+and ``main`` reports them with exit 1: an OSError that names a file as
+``error: <file>: <reason>``, a ValueError or configparser.Error as
+``error: <message>``.  Any other exception keeps its traceback.
 """
 
 from __future__ import annotations
@@ -68,16 +70,19 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _not_utf8(path, exc: UnicodeDecodeError) -> str:
+    return f"{path}: not UTF-8 text ({exc.reason})"
+
+
 def _read_genome(path):
-    """The genome in a text file; None, with the error printed, if the file
-    cannot be read or does not parse."""
+    """The genome in a text file; raises OSError if the file cannot be read,
+    and ValueError if it is not UTF-8 or does not parse."""
     try:
         return parse(Path(path).read_text(encoding="utf-8").strip())
-    except OSError as exc:
-        _fail(str(exc))
-    except Exception as exc:
-        _fail(f"genome does not parse: {exc}")
-    return None
+    except UnicodeDecodeError as exc:
+        raise ValueError(_not_utf8(path, exc)) from exc
+    except (ParseError, RecursionError) as exc:
+        raise ValueError(f"genome does not parse: {exc}") from exc
 
 
 def _load_experiment(args) -> ExperimentConfig:
@@ -109,14 +114,8 @@ def cmd_evolve(args) -> int:
                          f"{config.evolution.partial_epochs}")
         if not config.paths.meta_model:
             return _fail("meta_predicted fitness requires paths.meta_model")
-        try:
-            predictor = meta.load_model(config.paths.meta_model)
-        except (OSError, ValueError) as exc:
-            return _fail(str(exc))
-    try:
-        ctx = EvalContext(config)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+        predictor = meta.load_model(config.paths.meta_model)
+    ctx = EvalContext(config)
     out_dir = Path(args.out or config.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "checkpoint.json"
@@ -179,21 +178,16 @@ def cmd_evolve(args) -> int:
 def cmd_train(args) -> int:
     config = args.experiment
     genome = _read_genome(args.genome)
-    if genome is None:
-        return 1
     report = validate_tree(genome)
     if report:
         for violation in report:
             print(f"violation: {violation}", file=sys.stderr)
         return 1
     try:
-        ctx = EvalContext(config)
-        curve = ctx.train_genome(serialize(genome), epochs=config.train.epochs,
-                                 seed=config.seed)
+        curve = EvalContext(config).train_genome(serialize(genome), seed=config.seed,
+                                                 epochs=config.train.epochs)
     except TrainingDiverged as exc:
         return _fail(f"training diverged at epoch {exc.epoch}, batch {exc.batch}")
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
     seconds = curve.seconds if args.timing else [0.0] * len(curve.metrics)
     rows = [(i + 1, m, s)
             for i, (m, s) in enumerate(zip(curve.metrics, seconds))]
@@ -208,9 +202,7 @@ def cmd_train(args) -> int:
 def cmd_hetero(args) -> int:
     config = args.experiment
     pool_dir = Path(args.pool)
-    if not pool_dir.exists():
-        return _fail(f"pool path {pool_dir} does not exist")
-    if not pool_dir.is_dir():
+    if pool_dir.is_file():
         return _fail(f"{pool_dir}: not a directory")
     files = sorted(p for p in pool_dir.iterdir() if p.is_file())
     genomes = []
@@ -220,7 +212,7 @@ def cmd_hetero(args) -> int:
         except ParseError as exc:
             return _fail(f"{f}:{exc}")
         except UnicodeDecodeError as exc:
-            return _fail(f"{f}: not UTF-8 text ({exc.reason})")
+            return _fail(_not_utf8(f, exc))
     if not genomes:
         return _fail("pool contains no genomes")
     cardinality = config.network.cardinality
@@ -228,10 +220,7 @@ def cmd_hetero(args) -> int:
     if width % cardinality:
         return _fail(f"layer width {width} is not a multiple of cardinality {cardinality}")
     slots = width // cardinality
-    try:
-        ctx = EvalContext(config)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    ctx = EvalContext(config)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     results = []
     for i in range(args.count):
@@ -258,19 +247,12 @@ def cmd_hetero(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    a = _read_genome(args.genome_a)
-    b = None if a is None else _read_genome(args.genome_b)
-    if b is None:
-        return 1
-    print(tree_distance(a, b))
+    print(tree_distance(_read_genome(args.genome_a), _read_genome(args.genome_b)))
     return 0
 
 
 def cmd_validate(args) -> int:
-    genome = _read_genome(args.genome)
-    if genome is None:
-        return 1
-    report = validate_tree(genome)
+    report = validate_tree(_read_genome(args.genome))
     if report:
         for violation in report:
             print(f"violation: {violation}")
@@ -283,17 +265,11 @@ def cmd_meta(args) -> int:
     if args.action == "train":
         if not args.dataset:
             return _fail("provide --dataset CURVES.csv")
-        try:
-            samples = meta.load_samples_csv(args.dataset)
-        except (OSError, ValueError) as exc:
-            return _fail(str(exc))
+        samples = meta.load_samples_csv(args.dataset)
         cfg = meta.MetaConfig() if args.config is None else args.experiment.meta
         if args.seed is not None:
             cfg.seed = args.seed
-        try:
-            model = meta.train_meta(samples, cfg)
-        except ValueError as exc:
-            return _fail(str(exc))
+        model = meta.train_meta(samples, cfg)
         out = args.out or "meta_model.npz"
         blob = io.BytesIO()
         meta.save_model(model, blob)
@@ -303,10 +279,7 @@ def cmd_meta(args) -> int:
     # predict
     if not args.model:
         return _fail("provide --model MODEL.npz")
-    try:
-        model = meta.load_model(args.model)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    model = meta.load_model(args.model)
     if not args.curve:
         return _fail("provide --curve v1,...,v10")
     try:
@@ -390,12 +363,9 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     keep_freed_heap()
     args = make_parser().parse_args(argv)
-    if getattr(args, "config", None) is not None:
-        try:
-            args.experiment = _load_experiment(args)
-        except (OSError, ValueError, configparser.Error) as exc:
-            return _fail(str(exc))
     try:
+        if getattr(args, "config", None) is not None:
+            args.experiment = _load_experiment(args)
         return args.func(args)
     except OSError as exc:
         # every command's file errors end here; one that names no file is
@@ -403,6 +373,8 @@ def main(argv=None) -> int:
         if exc.filename is None:
             raise
         return _fail(f"{exc.filename}: {exc.strerror or exc}")
+    except (ValueError, configparser.Error) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -252,10 +252,8 @@ def evaluate_generation(population, evaluator, records, fitness_mode, keys=None,
     """
     keys = keys if keys is not None else [canonical_text(g) for g in population]
     pending = sorted({k for k in keys if k not in records})
-    if pool is not None:
-        curves = dict(zip(pending, pool.map(evaluator, pending)))
-    else:
-        curves = {k: evaluator(k) for k in pending}
+    fan_out = map if pool is None else pool.map
+    curves = dict(zip(pending, fan_out(evaluator, pending)))
     finite = [k for k in pending if curves[k] is not None
               and all(math.isfinite(v) for v in curves[k])]
     if fitness_mode == "meta_predicted" and finite:

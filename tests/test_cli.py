@@ -562,6 +562,97 @@ def test_bad_meta_model_is_clean_error(tmp_path, capsys, command, problem, messa
     assert err.startswith("error: ") and message in err and str(model) in err
 
 
+def _input_argv(command, genome, tmp_path):
+    """``command``'s argv, reading ``genome`` where it reads an input file."""
+    cfg = ["--config", str(tiny_config(tmp_path))]
+    return {"validate": ["validate", str(genome)],
+            "train": ["train", str(genome)] + cfg,
+            "distance a": ["distance", str(genome), str(tmp_path / "g.genome")],
+            "distance b": ["distance", str(tmp_path / "g.genome"), str(genome)],
+            "meta train": ["meta", "train", "--dataset", str(genome)]}[command]
+
+
+@pytest.mark.parametrize("command", ["validate", "train", "distance a", "distance b",
+                                     "meta train"])
+def test_missing_input_file_names_the_file(tmp_path, genome_file, capsys, command):
+    missing = tmp_path / "missing.genome"
+    assert main(_input_argv(command, missing, tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "train", "distance a", "distance b"])
+def test_genome_file_that_is_not_utf8_names_the_file(tmp_path, genome_file, capsys, command):
+    bad = tmp_path / "bad.genome"
+    bad.write_bytes(b"\xff\xfe" + genome_file.read_bytes())
+    assert main(_input_argv(command, bad, tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not UTF-8 text (invalid start byte)\n")
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("(tanh x9)", "1:7: unknown leaf name 'x9'"),
+    ("(tanh " * 1500 + "x0" + ")" * 1500, "maximum recursion depth exceeded"),
+])
+def test_genome_that_does_not_parse_is_clean_error(tmp_path, capsys, text, reason):
+    bad = tmp_path / "bad.genome"
+    bad.write_text(text + "\n")
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: genome does not parse: {reason}\n"
+
+
+def test_hetero_missing_pool_names_it(tmp_path, capsys):
+    pool = tmp_path / "pool"
+    assert main(["hetero", str(pool), "--config", str(tiny_config(tmp_path)),
+                 "--count", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {pool}: No such file or directory\n"
+
+
+def test_hetero_value_error_in_training_is_clean_error(tmp_path, genome_file, capsys,
+                                                       monkeypatch):
+    def boom(self, *args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(fitness.EvalContext, "train_layers", boom)
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    (pool / "g.genome").write_text(genome_file.read_text())
+    cfg = tiny_config(tmp_path, **{"network.width": 40})  # two slots of cardinality 20
+    out = tmp_path / "hetero.csv"
+    assert main(["hetero", str(pool), "--config", str(cfg), "--count", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: boom\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [RuntimeError("a bug"), KeyError("a bug")])
+def test_errors_other_than_input_errors_escape_main(genome_file, monkeypatch, error):
+    """Only OSError, ValueError and configparser.Error are input errors; a
+    bug anywhere else keeps its traceback."""
+    def fail(tree):
+        raise error
+
+    monkeypatch.setattr(cli, "validate_tree", fail)
+    with pytest.raises(type(error), match="a bug"):
+        main(["validate", str(genome_file)])
+
+
+def test_no_command_catches_os_errors_itself():
+    """``main`` is the one place an OSError becomes ``error: <file>: <reason>``."""
+    import ast
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    offenders = []
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                if "OSError" in names:
+                    offenders.append(f"{fn.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_train_at_32_bit_precision(tmp_path, genome_file):
     cfg = tiny_config(tmp_path)
     out = tmp_path / "curve32.csv"
