@@ -15,6 +15,16 @@ parent's by more than the parent's interquartile range, and "over bound"
 when its median is worse than the parent's by more than the metric's
 ``bound`` in ``BENCHMARK.json``, a fraction of the parent's median.
 
+Each metric gets one verdict, the first that holds of:
+
+* ``over bound``: as above;
+* ``unresolved``: either side's interquartile range is wider than the
+  metric's bound times the parent's median, unless every change run beat
+  every parent run;
+* ``gain``: the change was better in at least 90% of the pairs and its
+  median is beyond IQR;
+* ``flat``: anything else.
+
 Every pair must do the same work: both runs' unit output digests and exact
 counts, read from the ``detail:`` line that perfbench prints on standard
 error, must be equal.  The exit code is 1 when a run fails, reports failed
@@ -66,6 +76,18 @@ def quartiles(values) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def _verdict(row, n_pairs, separated) -> str:
+    bound = row["bound"]
+    if row["over_bound"]:
+        return "over bound"
+    widest = max(hi - lo for lo, hi in (row["parent_iqr"], row["change_iqr"]))
+    if bound is not None and widest > bound * abs(row["parent"]) and not separated:
+        return "unresolved"
+    if row["wins"] >= 0.9 * n_pairs and row["beyond_iqr"]:
+        return "gain"
+    return "flat"
+
+
 def summarize(pairs, metrics, bounds=None) -> list[dict]:
     """One row per metric over the pairs, each a {side: metrics} dict;
     ``metrics`` maps a name to "lower" or "higher", the better direction,
@@ -77,13 +99,16 @@ def summarize(pairs, metrics, bounds=None) -> list[dict]:
         b = [p["change"][name] for p in pairs]
         sign = 1.0 if better == "higher" else -1.0
         (a1, am, a3), (b1, bm, b3) = quartiles(a), quartiles(b)
-        rows.append({"metric": name, "parent": am, "change": bm,
-                     "delta_pct": (bm - am) / am * 100.0,
-                     "parent_iqr": (a1, a3), "change_iqr": (b1, b3),
-                     "wins": sum(sign * (y - x) > 0 for x, y in zip(a, b)),
-                     "beyond_iqr": sign * (bm - am) > a3 - a1,
-                     "bound": bounds.get(name),
-                     "over_bound": name in bounds and -sign * (bm - am) > bounds[name] * abs(am)})
+        row = {"metric": name, "parent": am, "change": bm,
+               "delta_pct": (bm - am) / am * 100.0,
+               "parent_iqr": (a1, a3), "change_iqr": (b1, b3),
+               "wins": sum(sign * (y - x) > 0 for x, y in zip(a, b)),
+               "beyond_iqr": sign * (bm - am) > a3 - a1,
+               "bound": bounds.get(name),
+               "over_bound": name in bounds and -sign * (bm - am) > bounds[name] * abs(am)}
+        separated = min(sign * y for y in b) > max(sign * x for x in a)
+        row["verdict"] = _verdict(row, len(pairs), separated)
+        rows.append(row)
     return rows
 
 
@@ -125,12 +150,12 @@ def main(argv=None) -> int:
     print(f"{args.workload}: {len(pairs)} of {len(args.seeds)} pairs with equal digests "
           f"and counts, seeds {args.seeds[0]}..{args.seeds[-1]}, --seconds {args.seconds:g}")
     if pairs:
-        print(f"{'metric':14s} {'parent':>10s} {'change':>10s} {'delta':>8s} "
+        print(f"{'metric':14s} {'verdict':10s} {'parent':>10s} {'change':>10s} {'delta':>8s} "
               f"{'parent IQR':>21s} {'change IQR':>21s} {'bound':>10s} {'wins':>7s}"
               f"  beyond IQR")
         for r in summarize(pairs, metrics, bounds):
             bound = f"{r['bound']:.0%} {'OVER' if r['over_bound'] else 'ok'}"
-            print(f"{r['metric']:14s} {r['parent']:10.4g} {r['change']:10.4g} "
+            print(f"{r['metric']:14s} {r['verdict']:10s} {r['parent']:10.4g} {r['change']:10.4g} "
                   f"{r['delta_pct']:+7.2f}% "
                   f"{r['parent_iqr'][0]:10.4g}-{r['parent_iqr'][1]:<10.4g} "
                   f"{r['change_iqr'][0]:10.4g}-{r['change_iqr'][1]:<10.4g} "

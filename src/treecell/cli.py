@@ -25,6 +25,7 @@ import numpy as np
 
 from . import evolution, meta
 from .config import ExperimentConfig, emit_config, load_config
+from .data import read_text
 from .fitness import EvalContext, _eval_in_worker, _init_worker, keep_freed_heap, stable_seed
 from .genetic import tree_distance
 from .grammar import ParseError, parse, read_population, serialize
@@ -70,17 +71,11 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _not_utf8(path, exc: UnicodeDecodeError) -> str:
-    return f"{path}: not UTF-8 text ({exc.reason})"
-
-
 def _read_genome(path):
     """The genome in a text file; raises OSError if the file cannot be read,
     and ValueError if it is not UTF-8 or does not parse."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8").strip())
-    except UnicodeDecodeError as exc:
-        raise ValueError(_not_utf8(path, exc)) from exc
+        return parse(read_text(path).strip())
     except (ParseError, RecursionError) as exc:
         raise ValueError(f"genome does not parse: {exc}") from exc
 
@@ -211,8 +206,6 @@ def cmd_hetero(args) -> int:
             genomes.extend(read_population(f))
         except ParseError as exc:
             return _fail(f"{f}:{exc}")
-        except UnicodeDecodeError as exc:
-            return _fail(_not_utf8(f, exc))
     if not genomes:
         return _fail("pool contains no genomes")
     cardinality = config.network.cardinality

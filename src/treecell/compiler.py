@@ -7,14 +7,15 @@ elementwise over arbitrarily shaped unit arrays.  Each distinct op list
 is turned, once per process, into Python source for two straight-line
 numpy functions: a forward step that keeps every slot in a local, and
 its reverse, which reads the forward tape and accumulates exact adjoints,
-including through input reuse and the c/d output taps.  The tape holds
-only the slots the reverse reads, so a cell whose reverse reads no base
-input does not keep its layer's projection alive; a layer whose tapes do
-keep it reuses it as the buffer the base adjoints are written into, which
-is safe because the reverse reads every tape value before its first write
-to ``base``.  Both
-keep numpy calls few, since at small widths each call's fixed cost is
-most of its price: sigmoid needs no branch, an adjoint an add passes on
+including through input reuse and the c/d output taps.  The reverse
+writes the eight base adjoints only into the buffer its caller passes, so
+that buffer's memory layout is the layer engine's (``network``) alone.  The
+tape holds only the slots the reverse reads, so a cell whose reverse reads
+no base input does not keep its layer's projection alive; a layer whose
+tapes do keep it passes it as that buffer, which is safe because the
+reverse reads every tape value before its first write to ``base``.  Both
+kernels keep numpy calls few, since at small widths each call's fixed cost
+is most of its price: sigmoid needs no branch, an adjoint an add passes on
 unchanged gets no line of its own, and equal adjacent base adjoints are
 stored by one slice assignment.
 """
@@ -143,24 +144,17 @@ def cell_forward(cell: CompiledCell, base_inputs, state: CellState,
     return new_state
 
 
-@dataclass
-class CellGrads:
-    base: np.ndarray      # (8, *unit_shape)
-    c_prev: np.ndarray
-    d_prev: np.ndarray
-
-
-def cell_backward(cell: CompiledCell, tape, grad_h, grad_c, grad_d, out=None) -> CellGrads:
+def cell_backward(cell: CompiledCell, tape, grad_h, grad_c, grad_d, out):
     """Exact reverse-mode adjoints of (h, c, d) w.r.t. the ten input slots.
 
     ``tape`` is the values list from a recorded forward.  Fan-out (input
     reuse and shared subtrees) accumulates; relu's derivative at 0 is 0.
-    ``base`` is written into ``out``, an (8, *unit_shape) array, when given;
-    otherwise it is a view of a new (*unit_shape[:-1], 8, unit_shape[-1]) array.
+    The eight base adjoints are written into ``out``, an (8, *unit_shape)
+    array; returns the adjoints of the carried-in c and d.
     """
     if tape is None or len(tape) != cell.n_slots:
         raise ValueError("missing or mismatched forward tape")
-    return CellGrads(*cell.backward(tape, grad_h, grad_c, grad_d, out))
+    return cell.backward(tape, grad_h, grad_c, grad_d, out)
 
 
 # --- kernel generation ---------------------------------------------------------
@@ -195,17 +189,6 @@ def _taped_slots(ops, h_slot: int) -> set[int]:
     return kept
 
 
-def _adjoint_buffer(shape, dtype) -> np.ndarray:
-    """An uninitialised (8, *shape) array stored as (*shape[:-1], 8, shape[-1]).
-
-    That storage is the (batch, 8 * width) layout of a layer's projection
-    adjoint, so the layer reshapes it without a copy.
-    """
-    n = len(shape)
-    buf = np.empty(shape[:-1] + (T.N_BASE_INPUTS,) + shape[-1:], dtype)
-    return buf.transpose((n - 1, *range(n - 1), n)) if n else buf
-
-
 def _kernel_source(ops, h_slot: int, c_slots, d_slots) -> str:
     """Python source of ``forward`` and ``backward`` for one op list.
 
@@ -216,8 +199,9 @@ def _kernel_source(ops, h_slot: int, c_slots, d_slots) -> str:
     every sum is fixed by the op list alone.  An adjoint that equals
     another (an add passes its own on) gets no line: the other's name is
     written where it is used.  All eight base adjoints land in ``base``,
-    zero for inputs the cell does not read; runs of adjacent slots that
-    hold the same adjoint, or zero, are filled by one slice assignment.
+    the caller's buffer, zero for inputs the cell does not read; runs of
+    adjacent slots that hold the same adjoint, or zero, are filled by one
+    slice assignment.
     Nothing after the first write to ``base`` reads a tape value, so
     ``base`` may be the storage the tape's base inputs are views of.
     """
@@ -273,21 +257,18 @@ def _kernel_source(ops, h_slot: int, c_slots, d_slots) -> str:
             outs.append(f"g{slot}")
         else:
             outs.append(f"{seed} + 0.0")  # pass-through; == 0 + seed bit for bit
-    bwd.append("    if base is None:")
-    bwd.append(f"        base = _adjoint_buffer(gh.shape, {dtype})")
     lo = 0
     for value, run in itertools.groupby(name(k) if k in seen else "0.0"
                                         for k in range(T.N_BASE_INPUTS)):
         hi = lo + len(list(run))
         bwd.append(f"    base[{lo if hi == lo + 1 else f'{lo}:{hi}'}] = {value}")
         lo = hi
-    bwd.append(f"    return base, {outs[0]}, {outs[1]}")
+    bwd.append(f"    return {outs[0]}, {outs[1]}")
     return "\n".join(fwd + [""] + bwd) + "\n"
 
 
 _KERNEL_GLOBALS = {"absolute": np.absolute, "exp": np.exp, "maximum": np.maximum,
-                   "minimum": np.minimum, "tanh": np.tanh, "zeros": np.zeros,
-                   "_adjoint_buffer": _adjoint_buffer}
+                   "minimum": np.minimum, "tanh": np.tanh, "zeros": np.zeros}
 
 
 # bounded: a long search meets thousands of distinct cells, ~6 KiB of code each

@@ -12,6 +12,7 @@ import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .data import read_text
 from .evolution import EvolutionConfig
 from .meta import MetaConfig
 from .training import TrainConfig
@@ -123,14 +124,15 @@ def emit_config(config: ExperimentConfig) -> str:
     return out.getvalue()
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, source: str = "<string>") -> ExperimentConfig:
+    """The config in ``text``; configparser's errors name ``source``."""
     parser = configparser.ConfigParser()
-    parser.read_string(text)
+    parser.read_string(text, source=source)
     return _parse_section(parser, "experiment", ExperimentConfig)
 
 
 def load_config(path) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    return parse_config(read_text(path), source=str(path))
 
 
 def save_config(config: ExperimentConfig, path) -> None:

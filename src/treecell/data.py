@@ -4,6 +4,9 @@ Every task reduces to aligned (input, target) streams per split.  Token
 tasks train against a softmax head over their integer ids; the piano-roll
 task feeds 88-wide binary frames to a sigmoid head, predicting the next
 frame, so a roll with T timesteps yields T-1 usable steps.
+:func:`read_text` reads every text input file (corpora, rolls, genomes,
+pools, configs and curve datasets), so one that is not UTF-8 is named in
+its error.
 """
 
 from __future__ import annotations
@@ -15,6 +18,16 @@ import numpy as np
 PIANO_PITCHES = 88
 CHAR_FRACTIONS = (0.9, 0.05, 0.05)    # train, valid, test
 MUSIC_FRACTIONS = (0.6, 0.2, 0.2)
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file, with universal newlines; raises OSError if
+    it cannot be read, and ValueError naming it if it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 @dataclass
@@ -63,8 +76,7 @@ def char_task_from_text(text: str) -> SequenceTask:
 
 
 def load_char_corpus(path) -> SequenceTask:
-    with open(path, "r", encoding="utf-8") as fh:
-        return char_task_from_text(fh.read())
+    return char_task_from_text(read_text(path))
 
 
 def generate_babble_text(n_chars: int, seed: int = 0) -> str:
@@ -124,13 +136,12 @@ def delayed_copy_task(vocab_size: int = 8, delay: int = 4,
 def load_pianoroll(path) -> np.ndarray:
     """Read an 88 x T binary matrix from delimited text (rows = pitches)."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            cells = stripped.replace(",", " ").split()
-            rows.append([int(c) for c in cells])
+    for line in read_text(path).split("\n"):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        cells = stripped.replace(",", " ").split()
+        rows.append([int(c) for c in cells])
     roll = np.array(rows, dtype=np.int8)
     if roll.ndim != 2 or roll.shape[0] != PIANO_PITCHES:
         raise ValueError(

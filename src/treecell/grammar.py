@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 
+from .data import read_text
 from .tree import ARITY, LEAVES, NodeTree, TAPS, expr_to_tree, node_text
 
 
@@ -90,12 +91,11 @@ def read_population(path) -> list[NodeTree]:
     """Read one genome per non-empty line; a :class:`ParseError` gives the
     file's line and the column in that line, as read."""
     genomes = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                genomes.append(parse(line))
-            except ParseError as exc:
-                raise ParseError(exc.message, lineno, exc.column) from exc
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            genomes.append(parse(line))
+        except ParseError as exc:
+            raise ParseError(exc.message, lineno, exc.column) from exc
     return genomes

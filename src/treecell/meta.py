@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compiler import compile_tree, lstm_reference_tree
+from .data import read_text
 from .network import FlatParams, RecurrentLayers, init_uniform
 from .training import adam_update
 
@@ -328,20 +329,23 @@ def save_samples_csv(path, samples) -> None:
 
 
 def load_samples_csv(path):
+    """The samples of a dataset :func:`save_samples_csv` wrote; a bad row
+    raises ValueError naming the file and the line."""
+    text = read_text(path)
+    if not text:
+        raise ValueError(f"{path}: empty curve dataset")
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise ValueError("empty curve dataset")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    for lineno, line in enumerate(text.split("\n")[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
             values = [float(v) for v in line.split(",")]
             if len(values) != PREFIX_LEN + 1:
-                raise ValueError(
-                    f"expected {PREFIX_LEN + 1} columns, got {len(values)}")
-            samples.append(CurveSample(tuple(values[:PREFIX_LEN]), values[-1]))
+                raise ValueError(f"expected {PREFIX_LEN + 1} columns, got {len(values)}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        samples.append(CurveSample(tuple(values[:PREFIX_LEN]), values[-1]))
     return samples
 
 

@@ -149,8 +149,10 @@ class CellRow:
 
     ``slots`` holds (cell, lo, hi) per slot.  Like a compiled cell, the row
     has the kernels :func:`cell_forward` and :func:`cell_backward` call: each
-    runs every slot's kernel on its columns and joins the results (backward
-    writes into the ``base`` it is given); a tape lists the slots' tapes.
+    runs every slot's kernel on its columns and joins the results; a tape
+    lists the slots' tapes.  Backward writes the base adjoints only into the
+    ``base`` buffer its caller passes, each slot into its own columns, and
+    returns the joined adjoints of c and d.
     """
 
     def __init__(self, slots):
@@ -170,8 +172,8 @@ class CellRow:
         steps = [cell.backward(tape, gh[..., lo:hi], gc[..., lo:hi], gd[..., lo:hi],
                                base[..., lo:hi])
                  for (cell, lo, hi), tape in zip(self.slots, tapes)]
-        _, dcs, dds = zip(*steps)
-        return base, np.concatenate(dcs, axis=-1), np.concatenate(dds, axis=-1)
+        dcs, dds = zip(*steps)
+        return np.concatenate(dcs, axis=-1), np.concatenate(dds, axis=-1)
 
 
 class RecurrentLayers:
@@ -314,8 +316,7 @@ class RecurrentLayers:
         dh_prev, dc, dd = state.h, state.c, state.d
         for t in range(length - 1, -1, -1):
             dh = dh_above[t] + dh_prev
-            cg = cell_backward(cell, tapes.pop(), dh, dc, dd, out=douts[t])
-            dc, dd = cg.c_prev, cg.d_prev
+            dc, dd = cell_backward(cell, tapes.pop(), dh, dc, dd, douts[t])
             dpre = dpres[t]
             grad_w += xs[t].T @ dpre
             grad_u += h_prevs.pop().T @ dpre

@@ -14,6 +14,7 @@ recorded cache when it records the next.
 """
 
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from treecell.compiler import (
     N_INPUT_SLOTS,
     SLOT_CPREV,
     SLOT_DPREV,
-    CellGrads,
     CellState,
     CompiledCell,
     Op,
@@ -121,8 +121,9 @@ def finite_difference_check(genome, seed, eps=1e-5, width=4):
         gh = weights[0] if which == 0 else zeros
         gc = weights[1] if which == 1 else zeros
         gd = weights[2] if which == 2 else zeros
-        grads = cell_backward(cell, tape, gh, gc, gd)
-        analytic = np.concatenate([grads.base.ravel(), grads.c_prev, grads.d_prev])
+        dbase = np.empty((8, width))
+        dc, dd = cell_backward(cell, tape, gh, gc, gd, dbase)
+        analytic = np.concatenate([dbase.ravel(), dc, dd])
         fd = np.zeros_like(analytic)
         idx = 0
         for k in range(8):
@@ -216,6 +217,14 @@ def interpret_forward(cell: CompiledCell, base_inputs, state: CellState,
     if record:
         return new_state, values
     return new_state
+
+
+@dataclass
+class CellGrads:
+    """What :func:`interpret_backward` returns."""
+    base: np.ndarray      # (8, *unit_shape)
+    c_prev: np.ndarray
+    d_prev: np.ndarray
 
 
 def interpret_backward(cell: CompiledCell, tape, grad_h, grad_c, grad_d) -> CellGrads:
@@ -348,23 +357,19 @@ def step_major_backward_step(self, params, grads, caches, dh_top, carry, masks=N
         w_name, u_name, b_name = self.names[li]
         dh = dh_above + carry[li].h
         batch, width = dh.shape[0], self.widths[li]
+        # stored as (batch, 8, width), like a layer's base-adjoint buffer, so
+        # dpre below is a view
+        dbase = np.empty((batch, N_BASE_INPUTS, width), dtype=self.dtype).transpose(1, 0, 2)
         if len(slots) == 1:
-            cg = cell_backward(slots[0][0], cache["tapes"][0], dh,
-                               carry[li].c, carry[li].d)
-            dbase, dc_prev, dd_prev = cg.base, cg.c_prev, cg.d_prev
+            dc_prev, dd_prev = cell_backward(slots[0][0], cache["tapes"][0], dh,
+                                             carry[li].c, carry[li].d, dbase)
         else:
-            # stored as (batch, 8, width), like a cell's own base adjoint,
-            # so dpre below is a view
-            dbase = np.empty((batch, N_BASE_INPUTS, width),
-                             dtype=self.dtype).transpose(1, 0, 2)
             dc_prev = np.empty((batch, width), dtype=self.dtype)
             dd_prev = np.empty_like(dc_prev)
             for (cell, lo, hi), tape in zip(slots, cache["tapes"]):
-                cg = cell_backward(cell, tape, dh[:, lo:hi], carry[li].c[:, lo:hi],
-                                   carry[li].d[:, lo:hi])
-                dbase[:, :, lo:hi] = cg.base
-                dc_prev[:, lo:hi] = cg.c_prev
-                dd_prev[:, lo:hi] = cg.d_prev
+                dc_prev[:, lo:hi], dd_prev[:, lo:hi] = cell_backward(
+                    cell, tape, dh[:, lo:hi], carry[li].c[:, lo:hi],
+                    carry[li].d[:, lo:hi], dbase[:, :, lo:hi])
         dpre = dbase.transpose(1, 0, 2).reshape(batch, N_BASE_INPUTS * width)
         grads[w_name] += cache["xin"].T @ dpre
         grads[u_name] += cache["h_prev"].T @ dpre

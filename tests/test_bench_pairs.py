@@ -101,3 +101,55 @@ def test_summary_quartiles_and_wins():
     assert row["beyond_iqr"]  # 12 - 8 > 13 - 11
     assert bench_pairs.parse_seeds("5-7") == [5, 6, 7]
     assert bench_pairs.parse_seeds("5,9") == [5, 9]
+
+
+def _verdict(parent, change, better="lower", bound=0.25):
+    pairs = [{"parent": {"m": a}, "change": {"m": b}} for a, b in zip(parent, change)]
+    (row,) = _load_script().summarize(pairs, {"m": better}, {"m": bound})
+    return row["verdict"]
+
+
+PARENT = list(range(100, 110))   # median 104.5, IQR 102.25-106.75
+
+
+@pytest.mark.parametrize("change, better, verdict", [
+    ([p - 6 for p in PARENT], "lower", "gain"),
+    ([p + 6 for p in PARENT], "higher", "gain"),
+    # better in 9 of 10 pairs, and beyond the parent's IQR
+    ([PARENT[0] + 1] + [p - 6 for p in PARENT[1:]], "lower", "gain"),
+    # better in 8 of 10 pairs, although beyond the parent's IQR
+    ([p + 1 for p in PARENT[:2]] + [p - 6 for p in PARENT[2:]], "lower", "flat"),
+    # better in every pair, but by less than the parent's IQR
+    ([p - 1 for p in PARENT], "lower", "flat"),
+    ([p + 1 for p in PARENT], "lower", "flat"),
+    # worse by more than 25% of the parent's median
+    ([p * 1.3 for p in PARENT], "lower", "over bound"),
+    ([p * 0.7 for p in PARENT], "higher", "over bound"),
+])
+def test_verdicts(change, better, verdict):
+    assert _verdict(PARENT, change, better) == verdict
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    wide = [60, 70, 80, 90, 100, 110, 120, 130, 140, 150]   # IQR 82.5-127.5
+    assert _verdict(PARENT, [p - 6 for p in PARENT], bound=0.02) == "unresolved"
+    assert _verdict(wide, [w - 20 for w in wide]) == "unresolved"
+    assert _verdict(PARENT, [w - 30 for w in wide]) == "unresolved"
+    # unless every change run beats every parent run
+    assert _verdict(wide, [w / 10 for w in wide]) == "gain"
+    assert _verdict(wide, [w / 10 for w in wide], better="higher") == "over bound"
+    # but a wide spread is no reason to pass a metric over its bound
+    assert _verdict(wide, [w * 1.5 for w in wide]) == "over bound"
+
+
+def test_the_table_prints_one_verdict_per_metric(checkouts, capsys):
+    bench_pairs = _load_script()
+    argv = [str(checkouts / "parent"), str(checkouts / "change"), "--workload", "w",
+            "--seeds", "20-22", "--seconds", "1"]
+    bench_pairs.main(argv)
+    rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()[2:]
+            if not line.startswith("problem:")}
+    assert {name: row[1] for name, row in rows.items()} == {
+        "wall_s": "gain", "genomes_per_s": "gain", "steps_per_s": "gain",
+        "peak_rss_mb": "over", "setup_s": "flat"}
+    assert rows["peak_rss_mb"][2] == "bound"

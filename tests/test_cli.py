@@ -234,6 +234,14 @@ def test_evolve_missing_data_is_clean_error(tmp_path, capsys):
     assert not (out_dir / "checkpoint.json").exists()  # no partial state
 
 
+def test_task_data_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(b"\xff" + b"abc " * 2000)
+    cfg = tiny_config(tmp_path, **{"task.name": "char_lm", "task.data_path": str(corpus)})
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: {corpus}: not UTF-8 text (invalid start byte)\n"
+
+
 def test_evolve_resume_finished_run_is_noop(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     out_dir = tmp_path / "run"
@@ -587,6 +595,43 @@ def test_genome_file_that_is_not_utf8_names_the_file(tmp_path, genome_file, caps
     assert main(_input_argv(command, bad, tmp_path)) == 1
     assert capsys.readouterr().err == (
         f"error: {bad}: not UTF-8 text (invalid start byte)\n")
+
+
+_CURVES_HEADER = ",".join([f"epoch{i}" for i in range(1, 11)] + ["final"]) + "\n"
+_CURVES_ROW = ",".join(["5.0"] * 11) + "\n"
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"\xff" + _CURVES_HEADER.encode(), ": not UTF-8 text (invalid start byte)"),
+    ((_CURVES_HEADER + _CURVES_ROW + "1,2,x\n").encode(),
+     ":3: could not convert string to float: 'x'"),
+    ((_CURVES_HEADER + "1,2,3\n").encode(), ":2: expected 11 columns, got 3"),
+    (b"", ": empty curve dataset"),
+])
+def test_bad_curve_dataset_names_the_file(tmp_path, capsys, content, reason):
+    dataset = tmp_path / "curves.csv"
+    dataset.write_bytes(content)
+    out = tmp_path / "model.npz"
+    assert main(["meta", "train", "--dataset", str(dataset), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {dataset}{reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"[experiment]\nseed = 1\nbroken line\n",
+     "Source contains parsing errors: '{cfg}'\n\t[line  3]: 'broken line\\n'"),
+    (b"\xff[experiment]\nseed = 1\n", "{cfg}: not UTF-8 text (invalid start byte)"),
+])
+@pytest.mark.parametrize("command", ["evolve", "train"])
+def test_config_that_does_not_read_names_the_file(tmp_path, genome_file, capsys, command,
+                                                  content, message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(content)
+    argv = {"evolve": ["evolve"], "train": ["train", str(genome_file)]}[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: " + message.format(cfg=cfg) + "\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, reason", [

@@ -77,6 +77,13 @@ def test_seed_tree_zero_inputs_give_zero_h():
     assert np.all(out.c == 0.0)
 
 
+def _backward(cell, tape, gh, gc, gd):
+    """:func:`cell_backward` into a new (8, *unit_shape) buffer; returns the
+    base adjoints, then the adjoints of c and d."""
+    base = np.empty((8, *np.shape(gh)))
+    return (base, *cell_backward(cell, tape, gh, gc, gd, base))
+
+
 def test_compile_rejects_invalid_tree():
     bad = build_tree(("tanh", ("sigmoid", "x0")))
     with pytest.raises(CompileError):
@@ -95,10 +102,10 @@ def test_input_reuse_shares_port_and_accumulates_gradient():
     base = rng.normal(size=(8, width))
     state = zero_state(width)
     out, tape = cell_forward(cell, base, state, record=True)
-    grads = cell_backward(cell, tape, np.ones(width), np.zeros(width), np.zeros(width))
+    dbase, _, _ = _backward(cell, tape, np.ones(width), np.zeros(width), np.zeros(width))
     # d h / d x0 = (1 - h^2) * (2*x0 + 1)
     expected = (1.0 - out.h ** 2) * (2.0 * base[0] + 1.0)
-    assert np.allclose(grads.base[0], expected, atol=1e-12)
+    assert np.allclose(dbase[0], expected, atol=1e-12)
 
 
 def test_common_subtree_shared_once():
@@ -125,10 +132,10 @@ def test_identity_path_gradient():
     base = rng.normal(size=(8, width))
     state = zero_state(width)
     out, tape = cell_forward(cell, base, state, record=True)
-    g = cell_backward(cell, tape, np.ones(width), np.zeros(width), np.zeros(width))
+    dbase, _, _ = _backward(cell, tape, np.ones(width), np.zeros(width), np.zeros(width))
     scale = 1.0 - out.h ** 2
-    assert np.allclose(g.base[0], scale * base[1], atol=1e-12)
-    assert np.allclose(g.base[1], scale * base[0], atol=1e-12)
+    assert np.allclose(dbase[0], scale * base[1], atol=1e-12)
+    assert np.allclose(dbase[1], scale * base[0], atol=1e-12)
 
 
 def test_gradients_match_finite_differences():
@@ -149,11 +156,10 @@ def test_untapped_c_passthrough_and_skip_gradient():
     out, tape = cell_forward(cell, base, state, record=True)
     assert np.array_equal(out.c, state.c)  # bit-exact pass-through
     gc = rng.normal(size=width)
-    grads = cell_backward(cell, tape, np.zeros(width), gc, np.zeros(width))
+    _, dc, _ = _backward(cell, tape, np.zeros(width), gc, np.zeros(width))
     # gradient flows through the skip unchanged, plus the cprev leaf path
-    leaf_contrib = cell_backward(cell, tape, np.zeros(width), np.zeros(width),
-                                 np.zeros(width))
-    assert np.allclose(grads.c_prev - gc, leaf_contrib.c_prev, atol=1e-15)
+    _, leaf_dc, _ = _backward(cell, tape, np.zeros(width), np.zeros(width), np.zeros(width))
+    assert np.allclose(dc - gc, leaf_dc, atol=1e-15)
 
 
 def test_compile_serialize_round_trip_semantics():
@@ -177,7 +183,7 @@ def test_forward_rejects_bad_inputs():
     with pytest.raises(ValueError):
         cell_forward(cell, np.zeros((8, 3)), zero_state(4))
     with pytest.raises(ValueError):
-        cell_backward(cell, None, np.zeros(3), np.zeros(3), np.zeros(3))
+        cell_backward(cell, None, np.zeros(3), np.zeros(3), np.zeros(3), np.empty((8, 3)))
 
 
 # one shared subtree tapped to both c and d, and x0 read four times, so
@@ -246,7 +252,6 @@ def test_kernels_match_interpreter_bit_for_bit(genome, batch, width, scale, seed
     with np.errstate(all="ignore"):
         out, tape = cell_forward(cell, base, state, record=True)
         ref, ref_tape = interpret_forward(cell, base, state, record=True)
-        back = cell_backward(cell, tape, *grads)
         ref_back = interpret_backward(cell, ref_tape, *grads)
     assert len(tape) == len(ref_tape) == cell.n_slots
     # the tape keeps only what the reverse reads: the arguments of mul and
@@ -260,14 +265,12 @@ def test_kernels_match_interpreter_bit_for_bit(genome, batch, width, scale, seed
         assert np.array_equal(_bits(tape[slot]), _bits(ref_tape[slot])), f"tape slot {slot}"
     for name in ("h", "c", "d"):
         assert np.array_equal(_bits(getattr(out, name)), _bits(getattr(ref, name))), name
-    for name in ("base", "c_prev", "d_prev"):
-        assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(ref_back, name))), name
-    # into the (B, 8, W) storage a layer passes, NaN first, so that a base
-    # slot the kernel misses or writes twice with a stale value shows
-    stored = np.full(unit[:-1] + (8, width), np.nan)
-    out = np.moveaxis(stored, -2, 0)
-    with np.errstate(all="ignore"):
-        into = cell_backward(cell, tape, *grads, out=out)
-    assert into.base is out
-    for name in ("base", "c_prev", "d_prev"):
-        assert np.array_equal(_bits(getattr(into, name)), _bits(getattr(ref_back, name))), name
+    # into a plain (8, *unit) buffer and into the (B, 8, W) storage a layer
+    # passes, NaN first, so that a base slot the kernel misses or writes
+    # twice with a stale value shows
+    for out in (np.full((8, *unit), np.nan),
+                np.moveaxis(np.full(unit[:-1] + (8, width), np.nan), -2, 0)):
+        with np.errstate(all="ignore"):
+            dc, dd = cell_backward(cell, tape, *grads, out)
+        for name, got in (("base", out), ("c_prev", dc), ("d_prev", dd)):
+            assert np.array_equal(_bits(got), _bits(getattr(ref_back, name))), name

@@ -339,13 +339,14 @@ def test_row_backward_writes_the_base_adjoints_its_slots_write():
                            record=True)
     gh, gc, gd = (rng.normal(size=(5, 16)) for _ in range(3))
     out = np.full((5, 8, 16), np.nan).transpose(1, 0, 2)
-    got = cell_backward(row, tape, gh, gc, gd, out=out)
-    assert got.base is out
+    dc, dd = cell_backward(row, tape, gh, gc, gd, out)
     for (cell, lo, hi), slot_tape in zip(slots, tape):
-        want = cell_backward(cell, slot_tape, gh[:, lo:hi], gc[:, lo:hi], gd[:, lo:hi])
-        assert np.array_equal(_bits(out[:, :, lo:hi]), _bits(want.base)), (lo, hi)
-        assert np.array_equal(_bits(got.c_prev[:, lo:hi]), _bits(want.c_prev)), (lo, hi)
-        assert np.array_equal(_bits(got.d_prev[:, lo:hi]), _bits(want.d_prev)), (lo, hi)
+        want = np.empty((8, 5, hi - lo))
+        want_dc, want_dd = cell_backward(cell, slot_tape, gh[:, lo:hi], gc[:, lo:hi],
+                                         gd[:, lo:hi], want)
+        assert np.array_equal(_bits(out[:, :, lo:hi]), _bits(want)), (lo, hi)
+        assert np.array_equal(_bits(dc[:, lo:hi]), _bits(want_dc)), (lo, hi)
+        assert np.array_equal(_bits(dd[:, lo:hi]), _bits(want_dd)), (lo, hi)
 
 
 def _descending_cases():
@@ -759,6 +760,55 @@ def test_predictor_backward_peaks_about_one_mib_above_its_cache():
     prefix_log = np.log(rng_for(1).uniform(2.0, 10.0, size=(50, 10)))
     assert _traced_peak_mib(lambda cache: member.backward(cache, np.ones((50, 30))),
                             lambda: member.forward(prefix_log, record=True)[1]) < 1.25
+
+
+def _arrays(obj):
+    """Every array in a nest of dicts, lists and tuples; None is skipped."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in _arrays(item)]
+    return []
+
+
+@pytest.mark.parametrize("slots, trees", [
+    ([(0, 24)], [seed_tree()]),                               # one cell, a fresh buffer
+    ([(0, 12), (1, 12)], [READS_BASE, lstm_reference_tree()]),  # a row, the projection
+])
+def test_a_float32_training_step_stays_float32(monkeypatch, slots, trees):
+    """One desk chunk at float32, recorded, run backward, clipped and given
+    one Adam update: the cache, the base-adjoint buffer each step's cell
+    writes into, the gradients and Adam's moments are all float32."""
+    import treecell.network as network
+
+    net = build_network(NetworkSpec([LayerSpec(24, slots)], 12, vocab_size=8), trees,
+                        rng_for(5), dtype=np.float32)
+    tokens = rng_for(6).integers(0, 8, size=(20, 36))
+    logits, _, cache = net.forward_chunk(tokens[:, :35], net.zero_states(20), record=True)
+    layer = cache["layers"][0]
+    assert (layer["xproj"] is None) == (len(slots) == 1)
+    cached = _arrays(layer) + [cache["tops"]]
+    assert len(_arrays(layer["tapes"])) >= 35 and len(layer["h_prev"]) == 35
+    assert {a.dtype for a in cached} == {np.dtype(np.float32)}
+
+    backward = network.cell_backward
+    buffers = []
+
+    def watched(cell, tape, gh, gc, gd, out):
+        buffers.append(out.dtype)
+        return backward(cell, tape, gh, gc, gd, out)
+
+    monkeypatch.setattr(network, "cell_backward", watched)
+    _, dlogits = softmax_ce(logits, tokens[:, 1:])
+    grads = net.backward_chunk(cache, dlogits)
+    assert buffers == [np.dtype(np.float32)] * 35
+    clip_gradients(grads, 1e-3)
+    adam = Adam(TrainConfig(lr=0.01))
+    adam.step(net.params, grads)
+    for arrays in (grads.values(), [grads.flat, adam.m, adam.v, net.params.flat]):
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
 
 
 def test_flat_adam_matches_per_parameter_adam_bit_for_bit():
