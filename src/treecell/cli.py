@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import evolution, meta
-from .config import ExperimentConfig, emit_config, load_config
+from .config import ExperimentConfig, load_config
 from .data import read_text
-from .fitness import EvalContext, _eval_in_worker, _init_worker, keep_freed_heap, stable_seed
+from .fitness import EvalContext, keep_freed_heap, stable_seed
 from .genetic import tree_distance
 from .grammar import ParseError, parse, read_population, serialize
 from .network import heterogeneous_layer
@@ -147,13 +147,10 @@ def cmd_evolve(args) -> int:
                 # imported here: the pool's modules cost every other run start-up time
                 from concurrent.futures import ProcessPoolExecutor
 
-                pool = ProcessPoolExecutor(
-                    max_workers=args.workers, initializer=_init_worker,
-                    initargs=(emit_config(config),))
-                evaluator = _eval_in_worker
-            else:
-                evaluator = ctx
-            evolution.run(config.evolution, evaluator, predictor=predictor,
+                # each task pickles ctx, task arrays included, with its genome
+                pool = ProcessPoolExecutor(max_workers=args.workers,
+                                           initializer=keep_freed_heap)
+            evolution.run(config.evolution, ctx, predictor=predictor,
                           lineage=lineage, on_generation=on_generation,
                           start_state=state, pool=pool)
         finally:

@@ -132,7 +132,14 @@ def parse_config(text: str, source: str = "<string>") -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    return parse_config(read_text(path), source=str(path))
+    """The config in the file at ``path``.  A ValueError raised while
+    reading its sections (an unknown option, a value that does not read or
+    is out of range) is re-raised with ``<path>: `` in front."""
+    text = read_text(path)
+    try:
+        return parse_config(text, source=str(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_config(config: ExperimentConfig, path) -> None:

@@ -134,21 +134,30 @@ def delayed_copy_task(vocab_size: int = 8, delay: int = 4,
 
 
 def load_pianoroll(path) -> np.ndarray:
-    """Read an 88 x T binary matrix from delimited text (rows = pitches)."""
+    """Read an 88 x T binary matrix from delimited text: one row per pitch,
+    entries split by spaces or commas, blank lines skipped.  An entry that
+    is not an integer, or a row of another length than the first, raises
+    ``ValueError`` as ``<path>:<line>: <reason>``; a wrong row count or an
+    entry other than 0 or 1 as ``<path>: <reason>``."""
     rows = []
-    for line in read_text(path).split("\n"):
-        stripped = line.strip()
-        if not stripped:
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        cells = line.replace(",", " ").split()
+        if not cells:
             continue
-        cells = stripped.replace(",", " ").split()
-        rows.append([int(c) for c in cells])
-    roll = np.array(rows, dtype=np.int8)
-    if roll.ndim != 2 or roll.shape[0] != PIANO_PITCHES:
-        raise ValueError(
-            f"piano roll must have {PIANO_PITCHES} rows, got shape {roll.shape}")
+        try:
+            rows.append([int(c) for c in cells])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if len(cells) != len(rows[0]):
+            raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} columns, "
+                             f"got {len(cells)}")
+    if len(rows) != PIANO_PITCHES:
+        raise ValueError(f"{path}: piano roll must have {PIANO_PITCHES} rows, "
+                         f"got {len(rows)}")
+    roll = np.array(rows)
     if not np.isin(roll, (0, 1)).all():
-        raise ValueError("piano roll entries must be 0 or 1")
-    return roll
+        raise ValueError(f"{path}: piano roll entries must be 0 or 1")
+    return roll.astype(np.int8)
 
 
 def music_task_from_roll(roll: np.ndarray) -> SequenceTask:

@@ -50,6 +50,9 @@ class EvolutionConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
+        for name in ("tournament_size", "partial_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.fitness_mode not in ("meta_predicted", "epoch10_baseline", "full_train"):
             raise ValueError(f"unknown fitness_mode {self.fitness_mode!r}")
         # an offspring uses up to max_shame_retries + 3 keys of its block

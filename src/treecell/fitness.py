@@ -1,8 +1,9 @@
 """Candidate fitness evaluation: genome text -> partial-training curve.
 
-The evaluator is process-pool friendly: workers rebuild the task from a
-small payload once (initializer) and train each candidate from a seed
-derived from the genome itself, so results do not depend on scheduling.
+:class:`EvalContext` is the one evaluator.  It pickles, task arrays
+included, so a process pool maps the parent's own context over genomes;
+each candidate trains from a seed derived from the genome itself, so
+results do not depend on which process trains it or when.
 Curves are lower-is-better (perplexity as-is, music as 1 - F1).
 """
 
@@ -128,16 +129,3 @@ def keep_freed_heap() -> bool:
     return (mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1
             and mallopt(_M_TRIM_THRESHOLD, 64 << 20) == 1)
 
-
-_WORKER_CTX: dict = {}
-
-
-def _init_worker(config_text: str) -> None:
-    from .config import parse_config
-
-    keep_freed_heap()
-    _WORKER_CTX["ctx"] = EvalContext(parse_config(config_text))
-
-
-def _eval_in_worker(text: str):
-    return _WORKER_CTX["ctx"](text)

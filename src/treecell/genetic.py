@@ -1,15 +1,14 @@
 """Genetic operators: the three mutations, rotation-aware homologous
 crossover, and the structural tree distance used for speciation.
 
-Every operator is total and validity-preserving: impossible edits are
-retried a bounded number of times and then fall back to returning the
-input unchanged.  All randomness comes from an explicit
+Every operator takes valid trees and returns valid trees: an edit that
+breaks a rule is retried a bounded number of times, and then the input is
+returned unchanged.  All randomness comes from an explicit
 numpy.random.Generator, so applications replay exactly given the seed.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,20 +93,7 @@ def tree_distance(ta: NodeTree, tb: NodeTree) -> float:
 # --- mutations --------------------------------------------------------------
 
 
-def _violation_budget(*trees: NodeTree) -> Counter:
-    """Per-rule violation counts the inputs already carry.
-
-    Valid inputs give an empty budget, so candidates must validate
-    cleanly; on out-of-contract inputs the operators stay total by
-    accepting any edit that introduces no new rule violations.
-    """
-    budget: Counter = Counter()
-    for t in trees:
-        budget |= Counter(v.rule for v in T.validate(t))
-    return budget
-
-
-def _finish(tree: NodeTree, target: int, replacement, budget: Counter) -> NodeTree | None:
+def _finish(tree: NodeTree, target: int, replacement) -> NodeTree | None:
     """Put ``replacement`` (an Expr) in at node ``target``; None if that breaks a rule."""
 
     def walk(nid: int):
@@ -117,10 +103,7 @@ def _finish(tree: NodeTree, target: int, replacement, budget: Counter) -> NodeTr
         return (node.kind, node.tap, tuple(walk(c) for c in node.children))
 
     candidate = T.strip_invalid_taps(T.expr_to_tree(walk(tree.root)))
-    counts = Counter(v.rule for v in T.validate(candidate))
-    if counts - budget:
-        return None
-    return candidate
+    return None if T.validate(candidate) else candidate
 
 
 def mutate_replace(tree: NodeTree, rng: np.random.Generator) -> NodeTree:
@@ -134,7 +117,6 @@ def mutate_replace(tree: NodeTree, rng: np.random.Generator) -> NodeTree:
     targets = [nid for nid in tree.preorder() if tree.nodes[nid].kind in T.ELEMENTS]
     if not targets:
         return tree
-    budget = _violation_budget(tree)
     for _ in range(RETRY_BUDGET):
         nid = targets[rng.integers(len(targets))]
         node = tree.nodes[nid]
@@ -142,7 +124,7 @@ def mutate_replace(tree: NodeTree, rng: np.random.Generator) -> NodeTree:
         options = [k for k in pool if k != node.kind]
         new_kind = options[rng.integers(len(options))]
         _, tap, children = T.tree_to_expr(tree, nid)
-        candidate = _finish(tree, nid, (new_kind, tap, children), budget)
+        candidate = _finish(tree, nid, (new_kind, tap, children))
         if candidate is not None:
             return candidate
     return tree
@@ -165,7 +147,6 @@ def mutate_insert(tree: NodeTree, rng: np.random.Generator,
     ]
     if not positions:
         return tree
-    budget = _violation_budget(tree)
     for _ in range(RETRY_BUDGET):
         nid = positions[rng.integers(len(positions))]
         new_kind = T.ELEMENTS[rng.integers(len(T.ELEMENTS))]
@@ -178,7 +159,7 @@ def mutate_insert(tree: NodeTree, rng: np.random.Generator,
         tap = None
         if nid != tree.root and rng.random() < memory_tap_rate and memory:
             tap = T.TAPS[rng.integers(len(T.TAPS))]
-        candidate = _finish(tree, nid, (new_kind, tap, tuple(children)), budget)
+        candidate = _finish(tree, nid, (new_kind, tap, tuple(children)))
         if candidate is not None:
             return candidate
     return tree
@@ -194,12 +175,11 @@ def mutate_shrink(tree: NodeTree, rng: np.random.Generator) -> NodeTree:
     targets = [nid for nid in tree.preorder()[1:] if tree.nodes[nid].kind in T.ELEMENTS]
     if not targets:
         return tree
-    budget = _violation_budget(tree)
     for _ in range(RETRY_BUDGET):
         nid = targets[rng.integers(len(targets))]
         node = tree.nodes[nid]
         keep = int(rng.integers(len(node.children)))
-        candidate = _finish(tree, nid, T.tree_to_expr(tree, node.children[keep]), budget)
+        candidate = _finish(tree, nid, T.tree_to_expr(tree, node.children[keep]))
         if candidate is not None:
             return candidate
     return tree
@@ -217,11 +197,10 @@ def crossover_homologous(pa: NodeTree, pb: NodeTree,
     region = shared_region(pa, pb)
     candidates = region.pairs[1:] if len(region.pairs) > 1 else region.pairs
     ta, tb = region.tree_a, region.tree_b
-    budget = _violation_budget(pa, pb)
     for _ in range(RETRY_BUDGET):
         na, nb = candidates[rng.integers(len(candidates))]
-        child_a = _finish(ta, na, T.tree_to_expr(tb, nb), budget)
-        child_b = _finish(tb, nb, T.tree_to_expr(ta, na), budget)
+        child_a = _finish(ta, na, T.tree_to_expr(tb, nb))
+        child_b = _finish(tb, nb, T.tree_to_expr(ta, na))
         if child_a is not None and child_b is not None:
             return child_a, child_b
     return pa, pb

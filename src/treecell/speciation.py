@@ -29,6 +29,10 @@ class SpeciationConfig:
     stagnation_limit: int = 4
     max_active: int = 10
 
+    def __post_init__(self):
+        if self.max_active < 1:
+            raise ValueError(f"max_active must be >= 1, got {self.max_active}")
+
 
 @dataclass
 class Species:

@@ -32,6 +32,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        for name in ("unroll_steps", "batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def lr_at(self, epoch: int) -> float:
         """SGD's learning rate for a 1-based epoch index."""

@@ -1,5 +1,7 @@
+import concurrent.futures
 import json
 import os
+import pickle
 import subprocess
 import sys
 import types
@@ -10,7 +12,7 @@ import pytest
 
 from treecell import cli, fitness
 from treecell.cli import main
-from treecell.config import ExperimentConfig, emit_config, load_config, save_config
+from treecell.config import ExperimentConfig, load_config, save_config
 from treecell.grammar import parse, serialize
 from treecell.genetic import random_genome
 from treecell.meta import (MetaConfig, load_model, save_model, save_samples_csv,
@@ -184,7 +186,26 @@ def test_unreadable_config_value_names_its_option(tmp_path, genome_file, capsys)
     cfg.write_text(head + "[train]\n" + train_section.replace("epochs = 1\n", "epochs = ten\n", 1))
     assert main(["train", str(genome_file), "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == (
-        "error: [train] epochs: invalid literal for int() with base 10: 'ten'\n")
+        f"error: {cfg}: [train] epochs: invalid literal for int() with base 10: 'ten'\n")
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda row: row[:-1] + "x", "invalid literal for int() with base 10: 'x'"),
+    (lambda row: row[:-2], "expected 16 columns, got 15"),
+], ids=["bad entry", "short row"])
+def test_bad_piano_roll_names_its_file_and_line(tmp_path, genome_file, capsys,
+                                                edit, reason):
+    rows = [" ".join(["0"] * 16) for _ in range(88)]
+    rows[4] = edit(rows[4])
+    roll = tmp_path / "roll.txt"
+    roll.write_text("\n".join(rows) + "\n")
+    cfg = ExperimentConfig()
+    cfg.task.name, cfg.task.data_path = "music", str(roll)
+    cfg.train.batch_size = 2
+    save_config(cfg, tmp_path / "music.ini")
+    assert main(["train", str(genome_file), "--config", str(tmp_path / "music.ini"),
+                 "--out", str(tmp_path / "curve.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {roll}:5: {reason}\n"
 
 
 def test_train_rejects_invalid_genome(tmp_path, capsys):
@@ -718,6 +739,15 @@ def test_full_train_fitness_mode_uses_full_epochs(tmp_path):
     assert len(curve) == 3  # full budget, not partial_epochs
 
 
+def test_pickled_eval_context_trains_to_the_same_curve_bits(tmp_path):
+    # a process pool pickles the parent's context with every genome
+    ctx = fitness.EvalContext(load_config(tiny_config(tmp_path)))
+    copy = pickle.loads(pickle.dumps(ctx))
+    text = serialize(random_genome(np.random.Generator(np.random.PCG64(1)), steps=4))
+    curves = [np.array(c.train_genome(text, epochs=2).metrics) for c in (ctx, copy)]
+    assert curves[0].tobytes() == curves[1].tobytes()
+
+
 def test_full_train_evolve_two_workers_match_one(tmp_path):
     """Workers train with the same budget as the in-process evaluator:
     ``train.epochs`` in full_train mode, not ``partial_epochs``."""
@@ -915,12 +945,29 @@ def test_keep_freed_heap_sets_the_mmap_threshold_before_the_trim(monkeypatch):
     assert calls == [(-3, 32 << 20)]
 
 
-def test_cli_and_pool_workers_apply_the_allocator_setting(tmp_path, genome_file,
-                                                          monkeypatch, capsys):
-    calls = []
-    monkeypatch.setattr(fitness, "_WORKER_CTX", {})
-    monkeypatch.setattr(fitness, "keep_freed_heap", lambda: calls.append("worker"))
-    monkeypatch.setattr(cli, "keep_freed_heap", lambda: calls.append("cli"))
-    fitness._init_worker(emit_config(load_config(tiny_config(tmp_path))))
-    assert main(["validate", str(genome_file)]) == 0
-    assert calls == ["worker", "cli"]
+def test_cli_and_pool_workers_apply_the_allocator_setting(tmp_path, monkeypatch):
+    """``cli.main`` applies the allocator setting, and ``evolve --workers 2``
+    makes it every pool worker's initializer."""
+    calls, pools = [], []
+
+    def keep_freed_heap():
+        calls.append("keep_freed_heap")
+
+    class InlinePool:
+        """Runs its initializer and its tasks in this process."""
+
+        def __init__(self, max_workers, initializer):
+            pools.append((max_workers, initializer))
+            initializer()
+
+        map = staticmethod(map)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(cli, "keep_freed_heap", keep_freed_heap)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    assert main(["evolve", "--config", str(tiny_config(tmp_path)),
+                 "--out", str(tmp_path / "run"), "--workers", "2"]) == 0
+    assert pools == [(2, keep_freed_heap)]
+    assert calls == ["keep_freed_heap"] * 2  # main, then the worker

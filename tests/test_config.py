@@ -36,6 +36,12 @@ def test_unknown_option_rejected():
 @pytest.mark.parametrize("section, option, value", [
     ("evolution", "fitness_mode", "full-train"),
     ("train", "optimizer", "adamw"),
+    ("evolution", "tournament_size", "0"),
+    ("evolution", "partial_epochs", "0"),
+    ("speciation", "max_active", "0"),
+    ("train", "batch_size", "0"),
+    ("train", "unroll_steps", "0"),
+    ("train", "epochs", "0"),
 ])
 def test_bad_values_rejected_when_a_config_loads(section, option, value):
     with pytest.raises(ValueError, match=option):

@@ -118,14 +118,6 @@ def test_shared_region_identical_trees_is_whole_tree():
 # --- mutations ---------------------------------------------------------------
 
 
-def test_replace_only_legal_swap():
-    # the lone element is add; the sole same-category alternative is mul
-    t = build_tree(("add", "x0", "x1"))
-    out = mutate_replace(t, rng_for(0))
-    assert out.nodes[out.root].kind == "mul"
-    assert size(out) == 3
-
-
 def test_replace_conflict_tree_never_gets_worse():
     # a nonlinear chain cannot be fixed by same-category replacement: the
     # operator stays total and never adds violations
