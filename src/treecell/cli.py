@@ -56,14 +56,8 @@ def atomic_write(path, content: str | bytes) -> None:
 def write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+        lines.append(",".join(str(v) for v in row))
     atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _fail(message: str) -> int:

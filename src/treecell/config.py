@@ -37,6 +37,11 @@ class NetworkConfig:
     embedding_dim: int = 12
     cardinality: int = 20         # heterogeneous slot width
 
+    def __post_init__(self):
+        for name in ("layers", "width", "cardinality"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass
 class PathsConfig:
@@ -58,6 +63,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.precision not in (32, 64):
             raise ValueError("precision must be 32 or 64")
+        # a token task embeds its ids; the music task feeds its frames as they are
+        if self.task.name in ("synthetic", "char_lm") and self.network.embedding_dim < 1:
+            raise ValueError(f"embedding_dim must be >= 1 for the {self.task.name} task, "
+                             f"got {self.network.embedding_dim}")
 
 
 def _coerce(value: str, kind):

@@ -1,9 +1,10 @@
 """Task data: character corpora, piano-roll matrices, and synthetic streams.
 
-Every task reduces to aligned (input, target) streams per split.  Token
-tasks train against a softmax head over their integer ids; the piano-roll
-task feeds 88-wide binary frames to a sigmoid head, predicting the next
-frame, so a roll with T timesteps yields T-1 usable steps.
+Every task reduces to aligned (input, target) streams per split.  A task
+with a vocabulary is a token task and trains against a softmax head over
+its integer ids; the piano-roll task feeds 88-wide int8 0/1 frames to a
+sigmoid head, predicting the next frame, so a roll with T timesteps
+yields T-1 usable steps.
 :func:`read_text` reads every text input file (corpora, rolls, genomes,
 pools, configs and curve datasets), so one that is not UTF-8 is named in
 its error.
@@ -34,11 +35,11 @@ def read_text(path) -> str:
 class SequenceTask:
     """Aligned input/target streams per split.
 
-    kind: "tokens" (int streams, softmax head over vocab) or "frames"
-    (2-D float streams, sigmoid head per pitch).
+    A task with ``vocab_size`` > 0 has int token streams, for a softmax head
+    over the vocabulary; otherwise int8 0/1 frame streams ``io_dim`` wide,
+    for a sigmoid head per pitch.
     """
 
-    kind: str
     splits: dict[str, tuple[np.ndarray, np.ndarray]]
     vocab_size: int = 0
     io_dim: int = 0
@@ -71,8 +72,7 @@ def char_task_from_text(text: str) -> SequenceTask:
     vocab = sorted(set(text))
     stoi = {ch: i for i, ch in enumerate(vocab)}
     ids = np.array([stoi[ch] for ch in text], dtype=np.int64)
-    return SequenceTask("tokens", _contiguous_splits(ids, CHAR_FRACTIONS),
-                        vocab_size=len(vocab))
+    return SequenceTask(_contiguous_splits(ids, CHAR_FRACTIONS), vocab_size=len(vocab))
 
 
 def load_char_corpus(path) -> SequenceTask:
@@ -127,7 +127,7 @@ def delayed_copy_task(vocab_size: int = 8, delay: int = 4,
         stream = rng.integers(0, vocab_size, size=n, dtype=np.int64)
         target = np.roll(stream, delay)
         splits[name] = (stream, target)
-    return SequenceTask("tokens", splits, vocab_size=vocab_size)
+    return SequenceTask(splits, vocab_size=vocab_size)
 
 
 # --- piano rolls --------------------------------------------------------------
@@ -165,9 +165,8 @@ def music_task_from_roll(roll: np.ndarray) -> SequenceTask:
     roll = np.asarray(roll)
     if roll.shape[0] != PIANO_PITCHES:
         raise ValueError(f"expected {PIANO_PITCHES} pitch rows")
-    frames = roll.T.astype(np.float64)  # (T, 88)
-    return SequenceTask("frames", _contiguous_splits(frames, MUSIC_FRACTIONS),
-                        io_dim=PIANO_PITCHES)
+    frames = roll.T.astype(np.int8)  # (T, 88)
+    return SequenceTask(_contiguous_splits(frames, MUSIC_FRACTIONS), io_dim=PIANO_PITCHES)
 
 
 def generate_pianoroll(timesteps: int, seed: int = 0) -> np.ndarray:

@@ -63,7 +63,6 @@ class EvolutionConfig:
 
 @dataclass
 class FitnessRecord:
-    key: str                      # canonical genome text
     curve: list[float]
     fitness: float
     mode: str
@@ -123,8 +122,7 @@ class RunState:
             "lineage_bytes": lineage_bytes,
             "population": [serialize(g) for g in self.population],
             "speciation": self.speciation.to_json(),
-            "records": {k: {name: value for name, value in vars(r).items() if name != "key"}
-                        for k, r in self.records.items()},
+            "records": {k: vars(r) for k, r in self.records.items()},
             "history": [list(astuple(h)) for h in self.history],
         }, allow_nan=True)
 
@@ -141,7 +139,7 @@ class RunState:
         for name in ("next_generation", "lineage_bytes"):
             if not isinstance(blob[name], int):
                 raise ValueError(f"{name} is not an integer")
-        records ={k: FitnessRecord(k, **_object(r, f"record {k!r}"))
+        records = {k: FitnessRecord(**_object(r, f"record {k!r}"))
                    for k, r in _object(blob["records"], "records").items()}
         state = cls(blob["next_generation"], [parse(t) for t in blob["population"]],
                     SpeciationState.from_json(_object(blob["speciation"], "speciation"),
@@ -266,9 +264,9 @@ def evaluate_generation(population, evaluator, records, fitness_mode, keys=None,
     fitness = dict(zip(finite, map(float, values)))
     for key in pending:
         if key in fitness:
-            records[key] = FitnessRecord(key, list(curves[key]), fitness[key], fitness_mode)
+            records[key] = FitnessRecord(list(curves[key]), fitness[key], fitness_mode)
         else:
-            records[key] = FitnessRecord(key, [], WORST_FITNESS, fitness_mode)
+            records[key] = FitnessRecord([], WORST_FITNESS, fitness_mode)
     return records
 
 

@@ -87,11 +87,9 @@ class EvalContext:
         """Train a network of ``layers`` over ``trees`` on the task; returns
         its raw metric curve.  ``seed`` drives initialisation and dropout."""
         task = self.task
-        if task.kind == "tokens":
-            spec = NetworkSpec(layers, self.config.network.embedding_dim,
-                               vocab_size=task.vocab_size, head="softmax")
-        else:
-            spec = NetworkSpec(layers, 0, io_dim=task.io_dim, head="sigmoid")
+        # only a token task embeds its inputs; frames feed the layers as they are
+        embedding_dim = self.config.network.embedding_dim if task.vocab_size else 0
+        spec = NetworkSpec(layers, embedding_dim, task.vocab_size, task.io_dim)
         network = build_network(spec, trees, np.random.Generator(np.random.PCG64(seed)),
                                 dtype=self.dtype)
         cfg = dataclasses.replace(self.config.train, seed=seed,

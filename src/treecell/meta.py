@@ -69,6 +69,18 @@ class MetaConfig:
     seed: int = 0
     min_samples: int = 100
 
+    def __post_init__(self):
+        for name in ("width", "layers", "epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.decoder_lens or min(self.decoder_lens) < 1:
+            raise ValueError(f"decoder_lens must list one or more lengths >= 1, "
+                             f"got {self.decoder_lens}")
+        if self.batch_size < 0:
+            raise ValueError(f"batch_size must be >= 0, got {self.batch_size}")
+        if not 0 < self.val_fraction < 1:
+            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+
 
 def baseline_epoch10(prefix) -> float:
     """The naive fitness: the epoch-10 validation value itself."""

@@ -1,7 +1,9 @@
 """Recurrent networks built from compiled tree cells.
 
-A layer holds one cell type across its full width (homogeneous) or
-several cell types in fixed-cardinality column slots (heterogeneous).
+A layer is its slots: one cell type across its full width (homogeneous)
+or several cell types in column slots (heterogeneous); its width is the
+sum of their cardinalities.  The head follows the vocabulary: a softmax
+over it when ``vocab_size`` > 0, else a sigmoid per frame column.
 Trainable parameters are the embedding, eight per-layer input projections
 combining the layer input with the previous-step h, and the output head;
 edges inside the cells carry no parameters, so the cell's memory-cell
@@ -19,26 +21,25 @@ import numpy as np
 from .compiler import CellState, cell_backward, cell_forward, compile_tree, zero_state
 from .tree import N_BASE_INPUTS
 
-DEFAULT_CARDINALITY = 20
-
-
 @dataclass
 class LayerSpec:
-    width: int
-    slots: list[tuple[int, int]]  # (tree index, cardinality); cardinalities sum to width
+    slots: list[tuple[int, int]]  # (tree index, cardinality) per slot
+
+    @property
+    def width(self) -> int:
+        return sum(card for _, card in self.slots)
 
 
 @dataclass
 class NetworkSpec:
     layers: list[LayerSpec]
     embedding_dim: int          # 0 for raw frame inputs
-    vocab_size: int = 0         # softmax head when > 0
-    io_dim: int = 0             # sigmoid head width for frame tasks
-    head: str = "softmax"       # softmax | sigmoid
+    vocab_size: int = 0         # a softmax head over the vocabulary when > 0
+    io_dim: int = 0             # frame width; a sigmoid head this wide otherwise
 
     @property
     def out_dim(self) -> int:
-        return self.vocab_size if self.head == "softmax" else self.io_dim
+        return self.vocab_size or self.io_dim
 
     @property
     def in_dim(self) -> int:
@@ -46,15 +47,13 @@ class NetworkSpec:
 
 
 def homogeneous_spec(width: int, n_layers: int, embedding_dim: int,
-                     vocab_size: int = 0, io_dim: int = 0,
-                     head: str = "softmax") -> NetworkSpec:
-    layers = [LayerSpec(width, [(0, width)]) for _ in range(n_layers)]
-    return NetworkSpec(layers, embedding_dim, vocab_size, io_dim, head)
+                     vocab_size: int = 0, io_dim: int = 0) -> NetworkSpec:
+    layers = [LayerSpec([(0, width)]) for _ in range(n_layers)]
+    return NetworkSpec(layers, embedding_dim, vocab_size, io_dim)
 
 
-def heterogeneous_layer(tree_indices, cardinality: int = DEFAULT_CARDINALITY) -> LayerSpec:
-    slots = [(idx, cardinality) for idx in tree_indices]
-    return LayerSpec(cardinality * len(slots), slots)
+def heterogeneous_layer(tree_indices, cardinality: int) -> LayerSpec:
+    return LayerSpec([(idx, cardinality) for idx in tree_indices])
 
 
 def init_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
@@ -337,11 +336,6 @@ class Network:
                  dtype=np.float64):
         self.spec = spec
         self.dtype = dtype
-        for layer in spec.layers:
-            total = sum(card for _, card in layer.slots)
-            if total != layer.width:
-                raise ValueError(
-                    f"slot cardinalities sum to {total}, layer width is {layer.width}")
         params: dict[str, np.ndarray] = {}
         if spec.embedding_dim > 0:
             params["embedding"] = init_uniform(

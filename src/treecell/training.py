@@ -291,7 +291,7 @@ def train(network: Network, task: SequenceTask, config: TrainConfig) -> Training
     # a valid split too small to fill a batch is an error, not a divergence
     make_streams(vx, vy, config.batch_size)
     optimizer = make_optimizer(config)
-    is_tokens = task.kind == "tokens"
+    is_tokens = task.vocab_size > 0
     curve = TrainingCurve("perplexity" if is_tokens else "f1")
     length = x.shape[1]
     decayed = _l2_ranges(network.params.layout) if config.l2 > 0 else []

@@ -113,6 +113,13 @@ def test_train_same_seed_identical_bytes(tmp_path, genome_file):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_csv_cells_are_written_as_their_values(tmp_path):
+    """A NumPy float is written as the number, as a Python float is."""
+    out = tmp_path / "t.csv"
+    cli.write_csv(out, ("a", "b", "c", "d"), [(np.float64(1.5), np.float32(0.25), 0.1, 3)])
+    assert out.read_text() == "a,b,c,d\n1.5,0.25,0.1,3\n"
+
+
 def test_train_divergence_is_clean_error(tmp_path, genome_file, monkeypatch, capsys):
     from treecell.fitness import EvalContext
     from treecell.training import TrainingDiverged

@@ -42,10 +42,31 @@ def test_unknown_option_rejected():
     ("train", "batch_size", "0"),
     ("train", "unroll_steps", "0"),
     ("train", "epochs", "0"),
+    ("meta", "width", "0"),
+    ("meta", "layers", "0"),
+    ("meta", "epochs", "0"),
+    ("meta", "patience", "0"),
+    ("meta", "decoder_lens", ""),
+    ("meta", "decoder_lens", "0"),
+    ("meta", "decoder_lens", "30,0"),
+    ("meta", "batch_size", "-5"),
+    ("meta", "val_fraction", "0"),
+    ("meta", "val_fraction", "1.0"),
+    ("network", "width", "0"),
+    ("network", "layers", "0"),
+    ("network", "cardinality", "0"),
+    ("network", "embedding_dim", "0"),   # on the default synthetic task
 ])
 def test_bad_values_rejected_when_a_config_loads(section, option, value):
     with pytest.raises(ValueError, match=option):
         parse_config(f"[{section}]\n{option} = {value}\n")
+
+
+def test_only_token_tasks_need_an_embedding():
+    with pytest.raises(ValueError, match="embedding_dim must be >= 1 for the char_lm task"):
+        parse_config("[task]\nname = char_lm\n[network]\nembedding_dim = 0\n")
+    music = parse_config("[task]\nname = music\n[network]\nembedding_dim = 0\n")
+    assert music.network.embedding_dim == 0
 
 
 @pytest.mark.parametrize("section, option, value, message", [

@@ -108,20 +108,14 @@ def test_param_count_invariant_in_memory_cells():
     assert net_a.param_count() == net_b.param_count()
 
 
-def test_slot_cardinality_mismatch_rejected():
-    spec = NetworkSpec([LayerSpec(50, [(0, 20), (0, 20)])], 8, vocab_size=9)
-    with pytest.raises(ValueError):
-        build_network(spec, [lstm_reference_tree()], rng_for(0))
-
-
 @pytest.mark.parametrize("case", ["plain", "dropout", "hetero", "frames"])
 def test_network_gradients_match_finite_differences(case):
     vocab, emb, width = 5, 4, 6
     trees = [lstm_reference_tree(), BOTH_TAPS]
     if case == "hetero":  # two slots per layer, of different cells
-        spec = NetworkSpec([LayerSpec(width, [(0, 3), (1, 3)])] * 2, emb, vocab_size=vocab)
+        spec = NetworkSpec([LayerSpec([(0, 3), (1, 3)])] * 2, emb, vocab_size=vocab)
     elif case == "frames":
-        spec = homogeneous_spec(width, 2, 0, io_dim=vocab, head="sigmoid")
+        spec = homogeneous_spec(width, 2, 0, io_dim=vocab)
     else:
         spec = homogeneous_spec(width, 2, emb, vocab_size=vocab)
     net = build_network(spec, trees, rng_for(3))
@@ -186,13 +180,13 @@ def test_layer_major_engine_matches_step_major_bit_for_bit(trees, n_layers, hete
     The desk shape (width 24, embedding 12, batch 20, 35 steps) is among the
     draws; a flattened (L * B, K) product differs from the per-step ones there."""
     if hetero:
-        layers = [LayerSpec(24, [(0, 10), (1, 14)])] * n_layers
+        layers = [LayerSpec([(0, 10), (1, 14)])] * n_layers
     else:
-        layers = [LayerSpec(24, [(0, 24)])] * n_layers
+        layers = [LayerSpec([(0, 24)])] * n_layers
     if tokens:
         spec = NetworkSpec(layers, 12, vocab_size=out_dim)
     else:
-        spec = NetworkSpec(layers, 0, io_dim=out_dim, head="sigmoid")
+        spec = NetworkSpec(layers, 0, io_dim=out_dim)
     net = build_network(spec, trees, rng_for(seed))
     rng = rng_for(seed + 1)
     if tokens:
@@ -282,7 +276,7 @@ def test_layer_that_reuses_its_projection_matches_step_major_bit_for_bit(dropout
     trees = [READS_BASE, lstm_reference_tree()]
     if order == "base-reader second":
         trees.reverse()
-    spec = NetworkSpec([LayerSpec(24, [(0, 10), (1, 14)])] * 2, 12, vocab_size=8)
+    spec = NetworkSpec([LayerSpec([(0, 10), (1, 14)])] * 2, 12, vocab_size=8)
     net = build_network(spec, trees, rng_for(31))
     assert net.layers.keeps_base == [True, True]
     assert _matches_step_major(net, length, dropout, 32) == [True, True]
@@ -293,8 +287,7 @@ def test_layer_that_reuses_its_projection_matches_step_major_bit_for_bit(dropout
 def test_one_slot_layers_match_step_major_bit_for_bit(dropout, length):
     """Two one-slot layers, whose time loops call the cell directly: one
     that reuses its projection in reverse and one that does not."""
-    spec = NetworkSpec([LayerSpec(24, [(0, 24)]), LayerSpec(16, [(1, 16)])], 12,
-                       vocab_size=8)
+    spec = NetworkSpec([LayerSpec([(0, 24)]), LayerSpec([(1, 16)])], 12, vocab_size=8)
     net = build_network(spec, [READS_BASE, lstm_reference_tree()], rng_for(33))
     assert _matches_step_major(net, length, dropout, 34) == [True, False]
 
@@ -319,7 +312,7 @@ def test_rows_match_step_major_bit_for_bit(row, dropout, length):
     """Layers that each step one ``CellRow``: two adjacent slots of one
     cell, slots that all pass c and d through, and a row at float32."""
     trees, slots, dtype = ROWS[row]
-    spec = NetworkSpec([LayerSpec(24, slots)] * 2, 12, vocab_size=8)
+    spec = NetworkSpec([LayerSpec(slots)] * 2, 12, vocab_size=8)
     net = build_network(spec, trees, rng_for(35), dtype=dtype)
     assert [type(cell) for cell in net.layers.layer_cells] == [CellRow, CellRow]
     kept = row != "all pass through"
@@ -391,7 +384,7 @@ def test_a_backward_consumes_its_cache():
     gradients from overwritten buffers, for a network and a predictor member."""
     from treecell.meta import MetaConfig, _Seq2Seq
 
-    spec = NetworkSpec([LayerSpec(6, [(0, 3), (1, 3)])] * 2, 4, vocab_size=5)
+    spec = NetworkSpec([LayerSpec([(0, 3), (1, 3)])] * 2, 4, vocab_size=5)
     net = build_network(spec, [READS_BASE, lstm_reference_tree()], rng_for(1))
     x = rng_for(2).integers(0, 5, size=(3, 7))
     logits, _, cache = net.forward_chunk(x, net.zero_states(3), record=True)
@@ -525,7 +518,7 @@ def test_a_wiring_bug_is_an_error_not_a_divergence():
     input projection's matmul; that bug must stop the caller, not read as a
     diverged genome (which evolution would score as the worst fitness)."""
     task = music_task_from_roll(generate_pianoroll(400, seed=0))
-    spec = homogeneous_spec(6, 1, 0, io_dim=5, head="sigmoid")
+    spec = homogeneous_spec(6, 1, 0, io_dim=5)
     net = build_network(spec, [lstm_reference_tree()], rng_for(0))
     config = TrainConfig(unroll_steps=10, batch_size=4, epochs=1, optimizer="adam",
                          lr=0.01, dropout_ff=0.0, dropout_rec=0.0, seed=0)
@@ -567,13 +560,13 @@ BASE_OVERFLOW = build_tree(("mul", ("add", SUM4, "x0"),
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("layer, trees, train_tokens, where", [
-    pytest.param(LayerSpec(6, [(0, 6)]), [C_OVERFLOW], 800, (1, 1), id="c-only"),
-    pytest.param(LayerSpec(6, [(0, 6)]), [BASE_OVERFLOW], 800, (1, 8), id="base"),
-    pytest.param(LayerSpec(6, [(0, 3), (1, 3)]), [lstm_reference_tree(), C_OVERFLOW], 800,
+    pytest.param(LayerSpec([(0, 6)]), [C_OVERFLOW], 800, (1, 1), id="c-only"),
+    pytest.param(LayerSpec([(0, 6)]), [BASE_OVERFLOW], 800, (1, 8), id="base"),
+    pytest.param(LayerSpec([(0, 3), (1, 3)]), [lstm_reference_tree(), C_OVERFLOW], 800,
                  (1, 1), id="hetero-one-slot"),
     # one 10-step chunk per epoch: d stays finite in training and overflows
     # in the longer pass over the validation split
-    pytest.param(LayerSpec(6, [(0, 6)]), [D_OVERFLOW], 40, (1, -1), id="eval-pass"),
+    pytest.param(LayerSpec([(0, 6)]), [D_OVERFLOW], 40, (1, -1), id="eval-pass"),
 ])
 def test_divergence_raises_where_a_per_step_guard_raised(layer, trees, train_tokens, where):
     """Each (epoch, batch) was recorded from the engine that checked every
@@ -639,7 +632,7 @@ def test_pass_through_layer_rejects_a_carried_in_inf():
 def test_parameters_and_gradients_are_views_of_one_flat_vector():
     task = delayed_copy_task(vocab_size=5, delay=2, train_tokens=400,
                              valid_tokens=200, test_tokens=200, seed=0)
-    spec = NetworkSpec([LayerSpec(6, [(0, 3), (1, 3)])] * 2, 4, vocab_size=5)
+    spec = NetworkSpec([LayerSpec([(0, 3), (1, 3)])] * 2, 4, vocab_size=5)
     for optimizer in ("sgd", "adam"):
         net = build_network(spec, [lstm_reference_tree(), BOTH_TAPS], rng_for(1))
         before = {k: v.copy() for k, v in net.params.items()}
@@ -773,20 +766,29 @@ def _arrays(obj):
     return []
 
 
-@pytest.mark.parametrize("slots, trees", [
-    ([(0, 24)], [seed_tree()]),                               # one cell, a fresh buffer
-    ([(0, 12), (1, 12)], [READS_BASE, lstm_reference_tree()]),  # a row, the projection
+@pytest.mark.parametrize("slots, trees, frames", [
+    ([(0, 24)], [seed_tree()], False),                               # one cell, a fresh buffer
+    ([(0, 12), (1, 12)], [READS_BASE, lstm_reference_tree()], False),  # a row, the projection
+    ([(0, 24)], [seed_tree()], True),                                # frames, a sigmoid head
 ])
-def test_a_float32_training_step_stays_float32(monkeypatch, slots, trees):
+def test_a_float32_training_step_stays_float32(monkeypatch, slots, trees, frames):
     """One desk chunk at float32, recorded, run backward, clipped and given
-    one Adam update: the cache, the base-adjoint buffer each step's cell
-    writes into, the gradients and Adam's moments are all float32."""
+    one Adam update: the cache, the loss adjoint, the adjoints each step's
+    cell receives and the base-adjoint buffer it writes into, the gradients
+    and Adam's moments are all float32.  The frames are a music task's own."""
     import treecell.network as network
 
-    net = build_network(NetworkSpec([LayerSpec(24, slots)], 12, vocab_size=8), trees,
-                        rng_for(5), dtype=np.float32)
-    tokens = rng_for(6).integers(0, 8, size=(20, 36))
-    logits, _, cache = net.forward_chunk(tokens[:, :35], net.zero_states(20), record=True)
+    if frames:
+        task = music_task_from_roll(generate_pianoroll(1300, seed=6))
+        x, y = make_streams(*task.split("train"), 20)
+        inputs, targets, loss = x[:, :35], y[:, :35], sigmoid_bce
+        spec = NetworkSpec([LayerSpec(slots)], 0, io_dim=88)
+    else:
+        tokens = rng_for(6).integers(0, 8, size=(20, 36))
+        inputs, targets, loss = tokens[:, :35], tokens[:, 1:], softmax_ce
+        spec = NetworkSpec([LayerSpec(slots)], 12, vocab_size=8)
+    net = build_network(spec, trees, rng_for(5), dtype=np.float32)
+    logits, _, cache = net.forward_chunk(inputs, net.zero_states(20), record=True)
     layer = cache["layers"][0]
     assert (layer["xproj"] is None) == (len(slots) == 1)
     cached = _arrays(layer) + [cache["tops"]]
@@ -794,16 +796,17 @@ def test_a_float32_training_step_stays_float32(monkeypatch, slots, trees):
     assert {a.dtype for a in cached} == {np.dtype(np.float32)}
 
     backward = network.cell_backward
-    buffers = []
+    received = []
 
     def watched(cell, tape, gh, gc, gd, out):
-        buffers.append(out.dtype)
+        received.append((gh.dtype, gc.dtype, gd.dtype, out.dtype))
         return backward(cell, tape, gh, gc, gd, out)
 
     monkeypatch.setattr(network, "cell_backward", watched)
-    _, dlogits = softmax_ce(logits, tokens[:, 1:])
+    _, dlogits = loss(logits, targets)
+    assert dlogits.dtype == np.float32
     grads = net.backward_chunk(cache, dlogits)
-    assert buffers == [np.dtype(np.float32)] * 35
+    assert received == [(np.dtype(np.float32),) * 4] * 35
     clip_gradients(grads, 1e-3)
     adam = Adam(TrainConfig(lr=0.01))
     adam.step(net.params, grads)
@@ -813,7 +816,7 @@ def test_a_float32_training_step_stays_float32(monkeypatch, slots, trees):
 
 def test_flat_adam_matches_per_parameter_adam_bit_for_bit():
     """The one-pass update against the per-parameter loop it replaced."""
-    spec = NetworkSpec([LayerSpec(6, [(0, 6)])], 4, vocab_size=5)
+    spec = NetworkSpec([LayerSpec([(0, 6)])], 4, vocab_size=5)
     for dtype in (np.float64, np.float32):
         net = build_network(spec, [lstm_reference_tree()], rng_for(4), dtype=dtype)
         ref = {k: v.copy() for k, v in net.params.items()}
@@ -968,7 +971,7 @@ def test_music_task_trains_and_reports_f1():
     from treecell.data import generate_pianoroll, music_task_from_roll
 
     task = music_task_from_roll(generate_pianoroll(400, seed=6))
-    spec = homogeneous_spec(16, 1, 0, io_dim=88, head="sigmoid")
+    spec = homogeneous_spec(16, 1, 0, io_dim=88)
     net = build_network(spec, [lstm_reference_tree()], rng_for(20))
     config = TrainConfig(unroll_steps=20, batch_size=4, epochs=2,
                          optimizer="adam", lr=0.01, dropout_ff=0.0,
