@@ -9,7 +9,8 @@ these generators just make the repository self-contained.
 import argparse
 from pathlib import Path
 
-from treecell.data import generate_babble_text, generate_pianoroll, save_pianoroll
+from treecell.data import (atomic_write, generate_babble_text, generate_pianoroll,
+                           save_pianoroll)
 
 
 def main() -> None:
@@ -21,10 +22,8 @@ def main() -> None:
     args = parser.parse_args()
 
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     corpus = out / "corpus.txt"
-    corpus.write_text(generate_babble_text(args.corpus_chars, args.seed),
-                      encoding="utf-8")
+    atomic_write(corpus, generate_babble_text(args.corpus_chars, args.seed))
     print(f"wrote {corpus} ({corpus.stat().st_size} bytes)")
     roll_path = out / "pianoroll.txt"
     save_pianoroll(roll_path, generate_pianoroll(args.roll_steps, args.seed))

@@ -1,10 +1,11 @@
 """Command-line entry points.
 
-Commands: evolve, train, hetero, distance, meta, validate.  All file
-outputs are written atomically (temp file + rename), CSVs carry a header
-row and trailing newline, and runs are byte-reproducible given a seed,
-single worker, and 64-bit precision.  Commands raise their input errors
-and ``main`` reports them with exit 1: an OSError that names a file as
+Commands: evolve, train, hetero, distance, meta, validate.  Every file
+output but the append-only lineage log goes through ``data.atomic_write``
+(temp file + rename), CSVs carry a header row and trailing newline, and
+runs are byte-reproducible given a seed, single worker, and 64-bit
+precision.  Commands raise their errors and ``main`` alone prints the
+one ``error:`` line and returns 1: an OSError that names a file as
 ``error: <file>: <reason>``, a ValueError or configparser.Error as
 ``error: <message>``.  Any other exception keeps its traceback.
 """
@@ -14,18 +15,15 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import io
 import math
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from . import evolution, meta
 from .config import ExperimentConfig, load_config
-from .data import read_text
+from .data import atomic_write, read_text
 from .fitness import EvalContext, keep_freed_heap, stable_seed
 from .genetic import tree_distance
 from .grammar import ParseError, parse, read_population, serialize
@@ -34,35 +32,11 @@ from .training import TrainingDiverged
 from .tree import validate as validate_tree
 
 
-def atomic_write(path, content: str | bytes) -> None:
-    """Write ``content`` (text as UTF-8) to a temp file beside ``path``, then
-    rename it over ``path``; an interrupted write leaves ``path`` as it was."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(content.encode("utf-8") if isinstance(content, str) else content)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        if isinstance(exc, OSError):
-            # name the file asked for, not the temp file
-            exc.filename, exc.filename2 = str(path), None
-        raise
-
-
 def write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(str(v) for v in row))
     atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
 
 
 def _read_genome(path):
@@ -98,11 +72,11 @@ def cmd_evolve(args) -> int:
     predictor = None
     if config.evolution.fitness_mode == "meta_predicted":
         if config.evolution.partial_epochs != meta.PREFIX_LEN:
-            return _fail(f"meta_predicted fitness needs partial_epochs = {meta.PREFIX_LEN}, "
-                         f"the predictor's prefix length; got "
-                         f"{config.evolution.partial_epochs}")
+            raise ValueError(f"meta_predicted fitness needs partial_epochs = "
+                             f"{meta.PREFIX_LEN}, the predictor's prefix length; got "
+                             f"{config.evolution.partial_epochs}")
         if not config.paths.meta_model:
-            return _fail("meta_predicted fitness requires paths.meta_model")
+            raise ValueError("meta_predicted fitness requires paths.meta_model")
         predictor = meta.load_model(config.paths.meta_model)
     ctx = EvalContext(config)
     out_dir = Path(args.out or config.paths.out_dir)
@@ -115,7 +89,7 @@ def cmd_evolve(args) -> int:
             state, lineage_bytes = evolution.RunState.from_json(
                 checkpoint_path.read_text(encoding="utf-8"), config.evolution)
         except (ValueError, KeyError, TypeError) as exc:
-            return _fail(f"corrupt checkpoint {checkpoint_path}: {exc}")
+            raise ValueError(f"corrupt checkpoint {checkpoint_path}: {exc}") from exc
         if state.next_generation >= config.evolution.generations:
             print(f"run already finished; best fitness {state.best_fitness}")
             print(serialize(state.best_genome))
@@ -173,7 +147,7 @@ def cmd_train(args) -> int:
         curve = EvalContext(config).train_genome(serialize(genome), seed=config.seed,
                                                  epochs=config.train.epochs)
     except TrainingDiverged as exc:
-        return _fail(f"training diverged at epoch {exc.epoch}, batch {exc.batch}")
+        raise ValueError(f"training diverged at epoch {exc.epoch}, batch {exc.batch}") from exc
     seconds = curve.seconds if args.timing else [0.0] * len(curve.metrics)
     rows = [(i + 1, m, s)
             for i, (m, s) in enumerate(zip(curve.metrics, seconds))]
@@ -187,22 +161,19 @@ def cmd_train(args) -> int:
 
 def cmd_hetero(args) -> int:
     config = args.experiment
-    pool_dir = Path(args.pool)
-    if pool_dir.is_file():
-        return _fail(f"{pool_dir}: not a directory")
-    files = sorted(p for p in pool_dir.iterdir() if p.is_file())
+    files = sorted(p for p in Path(args.pool).iterdir() if p.is_file())
     genomes = []
     for f in files:
         try:
             genomes.extend(read_population(f))
         except ParseError as exc:
-            return _fail(f"{f}:{exc}")
+            raise ValueError(f"{f}:{exc}") from exc
     if not genomes:
-        return _fail("pool contains no genomes")
+        raise ValueError("pool contains no genomes")
     cardinality = config.network.cardinality
     width = config.network.width
     if width % cardinality:
-        return _fail(f"layer width {width} is not a multiple of cardinality {cardinality}")
+        raise ValueError(f"layer width {width} is not a multiple of cardinality {cardinality}")
     slots = width // cardinality
     ctx = EvalContext(config)
     rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -248,29 +219,27 @@ def cmd_validate(args) -> int:
 def cmd_meta(args) -> int:
     if args.action == "train":
         if not args.dataset:
-            return _fail("provide --dataset CURVES.csv")
+            raise ValueError("provide --dataset CURVES.csv")
         samples = meta.load_samples_csv(args.dataset)
         cfg = meta.MetaConfig() if args.config is None else args.experiment.meta
         if args.seed is not None:
             cfg.seed = args.seed
         model = meta.train_meta(samples, cfg)
         out = args.out or "meta_model.npz"
-        blob = io.BytesIO()
-        meta.save_model(model, blob)
-        atomic_write(out, blob.getvalue())
+        meta.save_model(model, out)
         print(f"saved model to {out}")
         return 0
     # predict
     if not args.model:
-        return _fail("provide --model MODEL.npz")
+        raise ValueError("provide --model MODEL.npz")
     model = meta.load_model(args.model)
     if not args.curve:
-        return _fail("provide --curve v1,...,v10")
+        raise ValueError("provide --curve v1,...,v10")
     try:
         values = [float(v) for v in args.curve.split(",")]
         prediction = float(model.predict_batch([values])[0])
     except ValueError as exc:
-        return _fail(f"--curve: {exc}")
+        raise ValueError(f"--curve: {exc}") from exc
     print(prediction)
     return 0
 
@@ -356,9 +325,11 @@ def main(argv=None) -> int:
         # no file problem: let it show
         if exc.filename is None:
             raise
-        return _fail(f"{exc.filename}: {exc.strerror or exc}")
+        message = f"{exc.filename}: {exc.strerror or exc}"
     except (ValueError, configparser.Error) as exc:
-        return _fail(str(exc))
+        message = str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -10,9 +10,8 @@ import configparser
 import dataclasses
 import io
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .data import read_text
+from .data import atomic_write, read_text
 from .evolution import EvolutionConfig
 from .meta import MetaConfig
 from .training import TrainConfig
@@ -28,6 +27,10 @@ class TaskConfig:
     valid_tokens: int = 3_000
     test_tokens: int = 3_000
     data_seed: int = 0
+
+    def __post_init__(self):
+        if self.name not in ("synthetic", "char_lm", "music"):
+            raise ValueError(f"unknown task name {self.name!r}")
 
 
 @dataclass
@@ -65,8 +68,8 @@ class ExperimentConfig:
             raise ValueError("precision must be 32 or 64")
         # a token task embeds its ids; the music task feeds its frames as they are
         if self.task.name in ("synthetic", "char_lm") and self.network.embedding_dim < 1:
-            raise ValueError(f"embedding_dim must be >= 1 for the {self.task.name} task, "
-                             f"got {self.network.embedding_dim}")
+            raise ValueError(f"[network] embedding_dim must be >= 1 for the "
+                             f"{self.task.name} task, got {self.network.embedding_dim}")
 
 
 def _coerce(value: str, kind):
@@ -122,7 +125,12 @@ def _parse_section(parser, section: str, cls):
                 raise ValueError(f"[{section}] {key}: {exc}") from exc
     for name, sub in nested.items():
         values[name] = _parse_section(parser, name, sub)
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        # a check across sections names its own section
+        raise ValueError(str(exc) if str(exc).startswith("[")
+                         else f"[{section}] {exc}") from exc
 
 
 def emit_config(config: ExperimentConfig) -> str:
@@ -152,4 +160,4 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path) -> None:
-    Path(path).write_text(emit_config(config), encoding="utf-8")
+    atomic_write(path, emit_config(config))

@@ -7,12 +7,17 @@ sigmoid head, predicting the next frame, so a roll with T timesteps
 yields T-1 usable steps.
 :func:`read_text` reads every text input file (corpora, rolls, genomes,
 pools, configs and curve datasets), so one that is not UTF-8 is named in
-its error.
+its error; :func:`atomic_write` writes every output file but the
+append-only lineage log, so a failed write leaves the previous file as it
+was.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +34,30 @@ def read_text(path) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def atomic_write(path, content: str | bytes) -> None:
+    """Write ``content`` (text as UTF-8) to a temp file beside ``path``, then
+    rename it over ``path``, making its directory if missing; an interrupted
+    write leaves ``path`` as it was."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            # mkstemp makes the file 0o600; give it the mode a plain open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(content.encode("utf-8") if isinstance(content, str) else content)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            # name the file asked for, not the temp file
+            exc.filename, exc.filename2 = str(path), None
+        raise
 
 
 @dataclass
@@ -73,10 +102,6 @@ def char_task_from_text(text: str) -> SequenceTask:
     stoi = {ch: i for i, ch in enumerate(vocab)}
     ids = np.array([stoi[ch] for ch in text], dtype=np.int64)
     return SequenceTask(_contiguous_splits(ids, CHAR_FRACTIONS), vocab_size=len(vocab))
-
-
-def load_char_corpus(path) -> SequenceTask:
-    return char_task_from_text(read_text(path))
 
 
 def generate_babble_text(n_chars: int, seed: int = 0) -> str:
@@ -186,9 +211,8 @@ def generate_pianoroll(timesteps: int, seed: int = 0) -> np.ndarray:
 
 
 def save_pianoroll(path, roll: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.asarray(roll, dtype=np.int8):
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+    atomic_write(path, "".join(" ".join(str(int(v)) for v in row) + "\n"
+                               for row in np.asarray(roll, dtype=np.int8)))
 
 
 # --- batching ----------------------------------------------------------------

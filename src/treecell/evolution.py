@@ -50,7 +50,7 @@ class EvolutionConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
-        for name in ("tournament_size", "partial_epochs"):
+        for name in ("generations", "tournament_size", "partial_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.fitness_mode not in ("meta_predicted", "epoch10_baseline", "full_train"):
@@ -432,9 +432,4 @@ def run(config: EvolutionConfig, evaluator, predictor=None,
         state.next_generation = gen + 1
         if on_generation is not None:
             on_generation(stats, state.population, spec_state, records)
-
-    if not state.history:
-        # no generation ran: evaluate the initial population
-        evaluate_generation(state.population, evaluator, records, config.fitness_mode,
-                            pool=pool, predictor=predictor)
     return state

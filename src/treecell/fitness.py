@@ -22,10 +22,10 @@ from .data import (
     char_task_from_text,
     delayed_copy_task,
     generate_babble_text,
-    load_char_corpus,
     load_pianoroll,
     make_streams,
     music_task_from_roll,
+    read_text,
 )
 from .grammar import parse
 from .network import NetworkSpec, build_network, homogeneous_spec
@@ -49,10 +49,8 @@ def build_task(config: ExperimentConfig) -> SequenceTask:
             return char_task_from_text(
                 generate_babble_text(task.train_tokens + task.valid_tokens
                                      + task.test_tokens, task.data_seed))
-        return load_char_corpus(task.data_path)
-    if task.name == "music":
-        return music_task_from_roll(load_pianoroll(task.data_path))
-    raise ValueError(f"unknown task {task.name!r}")
+        return char_task_from_text(read_text(task.data_path))
+    return music_task_from_roll(load_pianoroll(task.data_path))
 
 
 class EvalContext:

@@ -19,6 +19,7 @@ projection stays alive.
 
 from __future__ import annotations
 
+import io
 import json
 import zipfile
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compiler import compile_tree, lstm_reference_tree
-from .data import read_text
+from .data import atomic_write, read_text
 from .network import FlatParams, RecurrentLayers, init_uniform
 from .training import adam_update
 
@@ -333,11 +334,10 @@ def synthetic_curves(n: int, seed: int = 0, epochs: int = 40,
 
 
 def save_samples_csv(path, samples) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        cols = [f"epoch{i}" for i in range(1, PREFIX_LEN + 1)] + ["final"]
-        fh.write(",".join(cols) + "\n")
-        for s in samples:
-            fh.write(",".join(repr(float(v)) for v in (*s.prefix, s.target)) + "\n")
+    lines = [",".join([f"epoch{i}" for i in range(1, PREFIX_LEN + 1)] + ["final"])]
+    for s in samples:
+        lines.append(",".join(repr(float(v)) for v in (*s.prefix, s.target)))
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_samples_csv(path):
@@ -362,8 +362,8 @@ def load_samples_csv(path):
 
 
 def save_model(model: CurvePredictor, path) -> None:
-    """Single-file .npz checkpoint with a format/version tag, written to
-    ``path`` or, if it has a ``write`` method, into that binary file."""
+    """Single-file .npz checkpoint with a format/version tag, written whole
+    to ``path`` (see :func:`atomic_write`)."""
     arrays = {
         "format": np.array("treecell-meta"),
         "version": np.array(1),
@@ -378,11 +378,9 @@ def save_model(model: CurvePredictor, path) -> None:
         arrays[f"member{i}/decoder_len"] = np.array(member.decoder_len)
         for k, v in member.params.items():
             arrays[f"member{i}/{k}"] = v
-    if hasattr(path, "write"):
-        np.savez(path, **arrays)
-        return
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    blob = io.BytesIO()
+    np.savez(blob, **arrays)
+    atomic_write(path, blob.getvalue())
 
 
 def load_model(path) -> CurvePredictor:

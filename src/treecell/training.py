@@ -150,14 +150,6 @@ class Adam:
         adam_update(params.flat, grads.flat, self.m, self.v, self.t, self.config.lr)
 
 
-def make_optimizer(config: TrainConfig):
-    if config.optimizer == "adam":
-        return Adam(config)
-    if config.optimizer == "sgd":
-        return SGD(config)
-    raise ValueError(f"unknown optimizer {config.optimizer!r}")
-
-
 def clip_gradients(grads, max_norm: float) -> float:
     """Scale ``grads`` (a ``FlatParams``) so the global norm is at most
     max_norm.
@@ -290,7 +282,7 @@ def train(network: Network, task: SequenceTask, config: TrainConfig) -> Training
     vx, vy = task.split("valid")
     # a valid split too small to fill a batch is an error, not a divergence
     make_streams(vx, vy, config.batch_size)
-    optimizer = make_optimizer(config)
+    optimizer = Adam(config) if config.optimizer == "adam" else SGD(config)
     is_tokens = task.vocab_size > 0
     curve = TrainingCurve("perplexity" if is_tokens else "f1")
     length = x.shape[1]

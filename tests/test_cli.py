@@ -1,4 +1,6 @@
+import ast
 import concurrent.futures
+import configparser
 import json
 import os
 import pickle
@@ -194,6 +196,36 @@ def test_unreadable_config_value_names_its_option(tmp_path, genome_file, capsys)
     assert main(["train", str(genome_file), "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == (
         f"error: {cfg}: [train] epochs: invalid literal for int() with base 10: 'ten'\n")
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"meta": {"width": "0"}}, "[meta] width must be >= 1, got 0"),
+    ({"network": {"width": "0"}}, "[network] width must be >= 1, got 0"),
+    ({"task": {"name": "foo"}}, "[task] unknown task name 'foo'"),
+    ({"task": {"name": "char_lm"}, "network": {"embedding_dim": "0"}},
+     "[network] embedding_dim must be >= 1 for the char_lm task, got 0"),
+], ids=["meta width", "network width", "task name", "embedding"])
+def test_config_value_out_of_range_names_its_section(tmp_path, genome_file, capsys,
+                                                     values, message):
+    cfg = tiny_config(tmp_path)
+    parser = configparser.ConfigParser()
+    parser.read(cfg)
+    parser.read_dict(values)
+    with open(cfg, "w") as fh:
+        parser.write(fh)
+    assert main(["train", str(genome_file), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
+
+def test_only_main_writes_an_error_line():
+    """Commands raise their errors; ``main`` alone turns one into the
+    ``error:`` line on stderr."""
+    tree = ast.parse((ROOT / "src" / "treecell" / "cli.py").read_text(encoding="utf-8"))
+    writers = {getattr(top, "name", "<module>") for top in tree.body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and node.value.startswith("error:")}
+    assert writers == {"main"}
 
 
 @pytest.mark.parametrize("edit, reason", [
@@ -433,7 +465,7 @@ def test_final_write_that_fails_is_clean_error(tmp_path, genome_file, capsys, mo
     def replace_on_a_full_disk(src, dst):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cli.os, "replace", replace_on_a_full_disk)
+    monkeypatch.setattr(os, "replace", replace_on_a_full_disk)
     assert main(argv) == 1
     assert capsys.readouterr().err.endswith(f"error: {out}: No space left on device\n")
     assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("out")) == []
@@ -449,12 +481,13 @@ def test_evolve_out_that_is_a_file_is_clean_error(tmp_path, capsys):
 
 def test_evolve_write_that_fails_is_clean_error(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run"
+    cfg = tiny_config(tmp_path)
 
     def replace_on_a_full_disk(src, dst):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cli.os, "replace", replace_on_a_full_disk)
-    assert main(["evolve", "--config", str(tiny_config(tmp_path)), "--out", str(out)]) == 1
+    monkeypatch.setattr(os, "replace", replace_on_a_full_disk)
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
     # the first generation's stats.csv is the first file written whole
     assert capsys.readouterr().err.endswith(
         f"error: {out / 'stats.csv'}: No space left on device\n")
@@ -527,7 +560,7 @@ def test_hetero_pool_path_that_is_a_file_is_clean_error(tmp_path, genome_file, c
     out = tmp_path / "hetero.csv"
     assert main(["hetero", str(genome_file), "--config", str(tiny_config(tmp_path)),
                  "--count", "1", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {genome_file}: not a directory\n"
+    assert capsys.readouterr().err == f"error: {genome_file}: Not a directory\n"
     assert not out.exists()
 
 

@@ -38,6 +38,9 @@ def test_unknown_option_rejected():
     ("train", "optimizer", "adamw"),
     ("evolution", "tournament_size", "0"),
     ("evolution", "partial_epochs", "0"),
+    ("evolution", "generations", "0"),
+    ("evolution", "generations", "-1"),
+    ("task", "name", "foo"),
     ("speciation", "max_active", "0"),
     ("train", "batch_size", "0"),
     ("train", "unroll_steps", "0"),

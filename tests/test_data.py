@@ -1,8 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
+from treecell.config import ExperimentConfig, save_config
 from treecell.data import (
     PIANO_PITCHES,
+    atomic_write,
     char_task_from_text,
     delayed_copy_task,
     generate_babble_text,
@@ -12,6 +16,7 @@ from treecell.data import (
     music_task_from_roll,
     save_pianoroll,
 )
+from treecell.meta import MetaConfig, save_model, save_samples_csv, synthetic_curves, train_meta
 
 
 def test_char_task_splits_and_vocab():
@@ -50,6 +55,39 @@ def test_pianoroll_round_trip(tmp_path):
     save_pianoroll(path, roll)
     again = load_pianoroll(path)
     assert np.array_equal(roll, again)
+
+
+@pytest.mark.parametrize("save", [
+    lambda path: save_config(ExperimentConfig(), path),
+    lambda path: save_samples_csv(path, synthetic_curves(3, seed=1)[0]),
+    lambda path: save_pianoroll(path, generate_pianoroll(8, seed=1)),
+    lambda path: save_model(train_meta(synthetic_curves(100, seed=8)[0],
+                                       MetaConfig(width=2, layers=1, epochs=1)), path),
+], ids=["config", "samples_csv", "pianoroll", "model"])
+def test_a_save_whose_rename_fails_leaves_the_previous_file(tmp_path, monkeypatch, save):
+    path = tmp_path / "out"
+    path.write_bytes(b"the previous file")
+
+    def replace_on_a_full_disk(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", replace_on_a_full_disk)
+    with pytest.raises(OSError) as err:
+        save(path)
+    assert err.value.filename == str(path)
+    assert path.read_bytes() == b"the previous file"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_atomic_write_gives_the_mode_a_plain_open_gives(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        atomic_write(tmp_path / "out", "text")
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "out").stat().st_mode == (tmp_path / "plain").stat().st_mode == 0o100640
 
 
 def test_pianoroll_validation(tmp_path):

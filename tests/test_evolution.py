@@ -247,14 +247,6 @@ def test_run_monotone_best_and_history():
         assert h.active_species >= 1
 
 
-def test_run_zero_generations_evaluates_initial_population():
-    config = small_config(generations=0)
-    result = run(config, toy_evaluator)
-    assert result.history == []
-    assert math.isfinite(result.best_fitness)
-    assert validate(result.best_genome) == []
-
-
 def test_run_with_nothing_finite_trains_only_what_it_reports():
     calls = []
 

@@ -250,6 +250,14 @@ def test_model_file_round_trip(tmp_path, constant_model):
     assert again.predict_batch([prefix])[0] == model.predict_batch([prefix])[0]
 
 
+def test_save_model_makes_a_missing_directory(tmp_path, constant_model):
+    model, _ = constant_model
+    path = tmp_path / "runs" / "meta.npz"
+    save_model(model, path)
+    prefix = np.full(10, 4.0)
+    assert load_model(path).predict_batch([prefix])[0] == model.predict_batch([prefix])[0]
+
+
 def test_member_parameters_stay_views_after_restore_and_load(tmp_path):
     # patience 1 over 4 epochs: the best parameters are copied back at the end
     cfg = MetaConfig(width=4, layers=1, epochs=4, batch_size=40, lr=0.01,
