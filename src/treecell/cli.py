@@ -4,10 +4,11 @@ Commands: evolve, train, hetero, distance, meta, validate.  Every file
 output but the append-only lineage log goes through ``data.atomic_write``
 (temp file + rename), CSVs carry a header row and trailing newline, and
 runs are byte-reproducible given a seed, single worker, and 64-bit
-precision.  Commands raise their errors and ``main`` alone prints the
-one ``error:`` line and returns 1: an OSError that names a file as
-``error: <file>: <reason>``, a ValueError or configparser.Error as
-``error: <message>``.  Any other exception keeps its traceback.
+precision.  ``train`` and ``hetero`` check the genome rules as they read.
+Commands raise their errors and ``main`` alone prints the one ``error:``
+line and returns 1: an OSError that names a file as ``error: <file>: <reason>``,
+a ValueError or configparser.Error as ``error: <message>``.  Any other
+exception keeps its traceback.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import numpy as np
 
 from . import evolution, meta
 from .config import ExperimentConfig, load_config
-from .data import atomic_write, read_text
+from .data import atomic_write
 from .fitness import EvalContext, keep_freed_heap, stable_seed
 from .genetic import tree_distance
-from .grammar import ParseError, parse, read_population, serialize
+from .grammar import read_genome, read_population, serialize
 from .network import heterogeneous_layer
 from .training import TrainingDiverged
 from .tree import validate as validate_tree
@@ -37,15 +38,6 @@ def write_csv(path, header, rows) -> None:
     for row in rows:
         lines.append(",".join(str(v) for v in row))
     atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _read_genome(path):
-    """The genome in a text file; raises OSError if the file cannot be read,
-    and ValueError if it is not UTF-8 or does not parse."""
-    try:
-        return parse(read_text(path).strip())
-    except (ParseError, RecursionError) as exc:
-        raise ValueError(f"genome does not parse: {exc}") from exc
 
 
 def _load_experiment(args) -> ExperimentConfig:
@@ -137,12 +129,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_train(args) -> int:
     config = args.experiment
-    genome = _read_genome(args.genome)
-    report = validate_tree(genome)
-    if report:
-        for violation in report:
-            print(f"violation: {violation}", file=sys.stderr)
-        return 1
+    genome = read_genome(args.genome, check=True)
     try:
         curve = EvalContext(config).train_genome(serialize(genome), seed=config.seed,
                                                  epochs=config.train.epochs)
@@ -162,12 +149,7 @@ def cmd_train(args) -> int:
 def cmd_hetero(args) -> int:
     config = args.experiment
     files = sorted(p for p in Path(args.pool).iterdir() if p.is_file())
-    genomes = []
-    for f in files:
-        try:
-            genomes.extend(read_population(f))
-        except ParseError as exc:
-            raise ValueError(f"{f}:{exc}") from exc
+    genomes = [g for f in files for g in read_population(f, check=True)]
     if not genomes:
         raise ValueError("pool contains no genomes")
     cardinality = config.network.cardinality
@@ -202,18 +184,14 @@ def cmd_hetero(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    print(tree_distance(_read_genome(args.genome_a), _read_genome(args.genome_b)))
+    print(tree_distance(read_genome(args.genome_a), read_genome(args.genome_b)))
     return 0
 
 
 def cmd_validate(args) -> int:
-    report = validate_tree(_read_genome(args.genome))
-    if report:
-        for violation in report:
-            print(f"violation: {violation}")
-        return 1
-    print("valid")
-    return 0
+    report = validate_tree(read_genome(args.genome))
+    print("\n".join(f"violation: {v}" for v in report) or "valid")
+    return 1 if report else 0
 
 
 def cmd_meta(args) -> int:

@@ -5,7 +5,7 @@
     leaf  := "x0".."x7" | "cprev" | "dprev"
 
 Arity is fixed by the element (add/mul take two subtrees, the
-nonlinearities one).  Population files hold one genome per line.
+nonlinearities one).  Genome files, all read here, hold one genome per line.
 """
 
 from __future__ import annotations
@@ -13,14 +13,17 @@ from __future__ import annotations
 import re
 
 from .data import read_text
-from .tree import ARITY, LEAVES, NodeTree, TAPS, expr_to_tree, node_text
+from .tree import ARITY, LEAVES, NodeTree, TAPS, expr_to_tree, node_text, validate
+
+MAX_NESTING = 100  # open brackets: far above MAX_HEIGHT, far below the recursion limit
 
 
 class ParseError(ValueError):
-    """Syntax error with 1-based line/column of the offending token."""
+    """Syntax error at the 1-based line/column of the offending token in ``source``."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{line}:{column}: {message}")
+    def __init__(self, message: str, line: int, column: int, source=None):
+        where = f"{line}:{column}" if source is None else f"{source}:{line}:{column}"
+        super().__init__(f"{where}: {message}")
         self.message = message
         self.line = line
         self.column = column
@@ -61,6 +64,8 @@ def parse(text: str) -> NodeTree:
                 raise _error(f"unknown element name {kind!r}", text, head_offset)
             if head.count("@") > 1 or (tap and tap not in TAPS):
                 raise _error(f"unknown output tag {tap!r}", text, head_offset)
+            if len(open_nodes) == MAX_NESTING:
+                raise _error(f"brackets nested deeper than {MAX_NESTING}", text, offset)
             open_nodes.append((kind, tap or None, offset, []))
             continue
         if tok == ")":
@@ -87,15 +92,26 @@ def parse(text: str) -> NodeTree:
     raise ParseError("empty genome text", 1, 1)
 
 
-def read_population(path) -> list[NodeTree]:
-    """Read one genome per non-empty line; a :class:`ParseError` gives the
-    file's line and the column in that line, as read."""
+def read_population(path, check: bool = False) -> list[NodeTree]:
+    """One genome per non-empty line, parsed as written; every error names the
+    file and line.  With ``check``, a genome that breaks a rule is an error."""
     genomes = []
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            genomes.append(parse(line))
+            genome = parse(line)
         except ParseError as exc:
-            raise ParseError(exc.message, lineno, exc.column) from exc
+            raise ParseError(exc.message, lineno, exc.column, path) from exc
+        if check and validate(genome):
+            raise ValueError(f"{path}:{lineno}: " + "; ".join(map(str, validate(genome))))
+        genomes.append(genome)
     return genomes
+
+
+def read_genome(path, check: bool = False) -> NodeTree:
+    """The one genome of a genome file, read as a pool is."""
+    genomes = read_population(path, check)
+    if len(genomes) != 1:
+        raise ParseError(f"expected one genome, found {len(genomes)}", 1, 1, path)
+    return genomes[0]

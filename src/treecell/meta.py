@@ -333,21 +333,25 @@ def synthetic_curves(n: int, seed: int = 0, epochs: int = 40,
 # --- persistence -----------------------------------------------------------------
 
 
+CURVES_HEADER = ",".join([f"epoch{i}" for i in range(1, PREFIX_LEN + 1)] + ["final"])
+
+
 def save_samples_csv(path, samples) -> None:
-    lines = [",".join([f"epoch{i}" for i in range(1, PREFIX_LEN + 1)] + ["final"])]
-    for s in samples:
-        lines.append(",".join(repr(float(v)) for v in (*s.prefix, s.target)))
-    atomic_write(path, "\n".join(lines) + "\n")
+    rows = [",".join(repr(float(v)) for v in (*s.prefix, s.target)) for s in samples]
+    atomic_write(path, "\n".join([CURVES_HEADER] + rows) + "\n")
 
 
 def load_samples_csv(path):
-    """The samples of a dataset :func:`save_samples_csv` wrote; a bad row
-    raises ValueError naming the file and the line."""
+    """The samples of a dataset :func:`save_samples_csv` wrote; a bad header
+    or row raises ValueError naming the file and the line."""
     text = read_text(path)
     if not text:
         raise ValueError(f"{path}: empty curve dataset")
+    header, *rows = text.split("\n")
+    if header.strip() != CURVES_HEADER:
+        raise ValueError(f"{path}:1: expected the header {CURVES_HEADER}")
     samples = []
-    for lineno, line in enumerate(text.split("\n")[1:], start=2):
+    for lineno, line in enumerate(rows, start=2):
         line = line.strip()
         if not line:
             continue

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treecell import cli, fitness
+from treecell import cli, evolution, fitness
 from treecell.cli import main
 from treecell.config import ExperimentConfig, load_config, save_config
 from treecell.grammar import parse, serialize
@@ -228,6 +228,17 @@ def test_only_main_writes_an_error_line():
     assert writers == {"main"}
 
 
+def test_only_main_prints_to_stderr():
+    """No command prints to stderr: a failure is raised to ``main``."""
+    tree = ast.parse((ROOT / "src" / "treecell" / "cli.py").read_text(encoding="utf-8"))
+    printers = {getattr(top, "name", "<module>") for top in tree.body
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+                and any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
+                        for k in node.keywords)}
+    assert printers == {"main"}
+
+
 @pytest.mark.parametrize("edit, reason", [
     (lambda row: row[:-1] + "x", "invalid literal for int() with base 10: 'x'"),
     (lambda row: row[:-2], "expected 16 columns, got 15"),
@@ -250,9 +261,25 @@ def test_bad_piano_roll_names_its_file_and_line(tmp_path, genome_file, capsys,
 def test_train_rejects_invalid_genome(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     bad = tmp_path / "bad.genome"
-    bad.write_text("(tanh (sigmoid x0))\n")
-    assert main(["train", str(bad), "--config", str(cfg)]) == 1
-    assert "violation" in capsys.readouterr().err
+    bad.write_text("\n(tanh (sigmoid x0))\n")
+    out = tmp_path / "curve.csv"
+    assert main(["train", str(bad), "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", (
+        f"error: {bad}:2: height 3 below minimum 6; "
+        f"consecutive nonlinearity at node 0 (tanh over sigmoid)\n"))
+    assert not out.exists()
+
+
+def test_hetero_refuses_a_pool_genome_that_breaks_a_rule_before_training(tmp_path, capsys):
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    (pool / "pool.txt").write_text(serialize(seed_tree()) + "\n(tanh (add x0 x1))\n")
+    out = tmp_path / "hetero.csv"
+    assert main(["hetero", str(pool), "--config", str(tiny_config(tmp_path)),
+                 "--count", "4", "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {pool / 'pool.txt'}:2: height 3 below minimum 6\n")
+    assert not out.exists()
 
 
 def test_evolve_outputs_and_checkpoint(tmp_path, capsys):
@@ -590,7 +617,7 @@ def test_hetero_unreadable_pool_file_is_clean_error(tmp_path, genome_file, capsy
     pool.mkdir()
     (pool / "bad.txt").write_bytes(genome_file.read_bytes() + b"\xff\xfe\n")
     if problem == "unreadable":
-        def refuse(path):
+        def refuse(path, check=False):
             raise PermissionError(13, "Permission denied", str(path))
         monkeypatch.setattr(cli, "read_population", refuse)
     out = tmp_path / "hetero.csv"
@@ -668,6 +695,7 @@ _CURVES_ROW = ",".join(["5.0"] * 11) + "\n"
      ":3: could not convert string to float: 'x'"),
     ((_CURVES_HEADER + "1,2,3\n").encode(), ":2: expected 11 columns, got 3"),
     (b"", ": empty curve dataset"),
+    ((_CURVES_ROW * 100).encode(), ":1: expected the header " + _CURVES_HEADER.strip()),
 ])
 def test_bad_curve_dataset_names_the_file(tmp_path, capsys, content, reason):
     dataset = tmp_path / "curves.csv"
@@ -697,13 +725,22 @@ def test_config_that_does_not_read_names_the_file(tmp_path, genome_file, capsys,
 
 @pytest.mark.parametrize("text, reason", [
     ("(tanh x9)", "1:7: unknown leaf name 'x9'"),
-    ("(tanh " * 1500 + "x0" + ")" * 1500, "maximum recursion depth exceeded"),
+    ("(tanh " * 1500 + "x0" + ")" * 1500, "1:601: brackets nested deeper than 100"),
+    ("\n  (tanh x9)", "2:9: unknown leaf name 'x9'"),
 ])
-def test_genome_that_does_not_parse_is_clean_error(tmp_path, capsys, text, reason):
-    bad = tmp_path / "bad.genome"
+def test_genome_that_does_not_parse_is_clean_error(tmp_path, genome_file, capsys, text,
+                                                   reason):
+    """Every command that reads a genome names the file and the line and
+    column as written, before any network trains."""
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    bad = pool / "bad.genome"
     bad.write_text(text + "\n")
-    assert main(["validate", str(bad)]) == 1
-    assert capsys.readouterr().err == f"error: genome does not parse: {reason}\n"
+    hetero = ["hetero", str(pool), "--count", "1", "--config", str(tiny_config(tmp_path))]
+    for argv in [_input_argv(command, bad, tmp_path)
+                 for command in ("validate", "train", "distance a", "distance b")] + [hetero]:
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {bad}:{reason}\n")
 
 
 def test_hetero_missing_pool_names_it(tmp_path, capsys):
@@ -809,10 +846,16 @@ def test_evolve_corrupt_checkpoint_is_clean_error(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     out_dir = tmp_path / "run"
     out_dir.mkdir()
-    (out_dir / "checkpoint.json").write_text("{not json")
-    assert main(["evolve", "--config", str(cfg), "--out", str(out_dir),
-                 "--resume"]) == 1
-    assert "corrupt checkpoint" in capsys.readouterr().err
+    deep = json.dumps({"version": evolution.CHECKPOINT_VERSION, "next_generation": 1,
+                       "lineage_bytes": 0, "records": {},
+                       "population": ["(tanh " * 5000 + "x0" + ")" * 5000]})
+    for text, reason in [("{not json", "Expecting property name"),
+                         (deep, "1:601: brackets nested deeper than 100")]:
+        (out_dir / "checkpoint.json").write_text(text)
+        assert main(["evolve", "--config", str(cfg), "--out", str(out_dir),
+                     "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert "corrupt checkpoint" in err and reason in err
 
 
 def resume_edited_checkpoint(tmp_path, capsys, edit):

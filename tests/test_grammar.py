@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecell.genetic import random_genome
-from treecell.grammar import ParseError, parse, read_population, serialize
+from treecell.grammar import (MAX_NESTING, ParseError, parse, read_genome,
+                              read_population, serialize)
 from treecell.tree import build_tree, size, validate
 
 
@@ -107,7 +110,31 @@ def test_population_errors_give_file_line_and_column(tmp_path, text, message, li
     with pytest.raises(ParseError) as err:
         read_population(path)
     assert (str(err.value), err.value.message, err.value.line, err.value.column) == (
-        f"{line}:{column}: {message}", message, line, column)
+        f"{path}:{line}:{column}: {message}", message, line, column)
+
+
+def test_nesting_deeper_than_the_bound_stops_at_its_bracket():
+    def chain(depth):
+        return "(tanh " * depth + "x0" + ")" * depth
+
+    assert validate(parse(chain(MAX_NESTING)))[0].message == (
+        f"height {MAX_NESTING + 1} above maximum 15")
+    for depth in (MAX_NESTING + 1, 5000):
+        with pytest.raises(ParseError) as err:
+            parse(chain(depth))
+        assert str(err.value) == (
+            f"1:{6 * MAX_NESTING + 1}: brackets nested deeper than {MAX_NESTING}")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "1:1: expected one genome, found 0"),
+    ("(tanh x0)\n\n(tanh x1)\n", "1:1: expected one genome, found 2"),
+])
+def test_a_genome_file_holds_one_genome(tmp_path, text, message):
+    path = tmp_path / "g.genome"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="^" + re.escape(f"{path}:{message}") + "$"):
+        read_genome(path)
 
 
 def test_serialize_matches_build_order():
