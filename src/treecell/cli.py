@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import math
 import sys
@@ -82,15 +83,10 @@ def cmd_evolve(args) -> int:
                 checkpoint_path.read_text(encoding="utf-8"), config.evolution)
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"corrupt checkpoint {checkpoint_path}: {exc}") from exc
-        if state.next_generation >= config.evolution.generations:
-            print(f"run already finished; best fitness {state.best_fitness}")
-            print(serialize(state.best_genome))
-            return 0
 
-    lineage_path = out_dir / "lineage.log"
-    with open(lineage_path, "a" if state is not None else "w", encoding="utf-8") as sink:
-        # drop lines a crash left behind after the checkpoint was written;
-        # never pad a log that is already shorter
+    with open(out_dir / "lineage.log", "a", encoding="utf-8") as sink:
+        # drop lines a crash left behind after the checkpoint was written (a
+        # fresh run keeps none); never pad a log that is already shorter
         sink.truncate(min(lineage_bytes, sink.tell()))
         lineage = evolution.LineageLog(sink)
         if state is None:
@@ -101,21 +97,19 @@ def cmd_evolve(args) -> int:
                       [dataclasses.astuple(h) for h in state.history])
             atomic_write(checkpoint_path, state.to_json(sink.tell()))
 
-        pool = None
-        try:
-            if args.workers > 1:
-                # imported here: the pool's modules cost every other run start-up time
-                from concurrent.futures import ProcessPoolExecutor
+        pool = contextlib.nullcontext()
+        if args.workers > 1:
+            # imported here: the pool's modules cost every other run start-up time
+            from concurrent.futures import ProcessPoolExecutor
 
-                # each task pickles ctx, task arrays included, with its genome
-                pool = ProcessPoolExecutor(max_workers=args.workers,
-                                           initializer=keep_freed_heap)
+            # each task pickles ctx, task arrays included, with its genome
+            pool = ProcessPoolExecutor(max_workers=args.workers,
+                                       initializer=keep_freed_heap)
+        # a finished run's checkpoint has no generation left to run
+        with pool as executor:
             evolution.run(config.evolution, ctx, predictor=predictor,
                           lineage=lineage, on_generation=on_generation,
-                          start_state=state, pool=pool)
-        finally:
-            if pool is not None:
-                pool.shutdown()
+                          start_state=state, pool=executor)
 
     best = serialize(state.best_genome)
     atomic_write(out_dir / "best.genome", best + "\n")

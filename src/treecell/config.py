@@ -31,6 +31,8 @@ class TaskConfig:
     def __post_init__(self):
         if self.name not in ("synthetic", "char_lm", "music"):
             raise ValueError(f"unknown task name {self.name!r}")
+        if self.name == "music" and not self.data_path:
+            raise ValueError("task name 'music' needs data_path, a piano-roll file")
 
 
 @dataclass

@@ -245,8 +245,8 @@ def evaluate_generation(population, evaluator, records, fitness_mode, keys=None,
     Identical genomes (same canonical text) share one record and are never
     retrained.  ``evaluator`` maps genome text to a metric curve; training
     failures yield the worst-possible fitness instead of aborting.  Pass an
-    executor as ``pool`` (with the evaluator importable in workers) to fan
-    evaluation out; results are keyed by genome, so scheduling order never
+    executor as ``pool`` to fan evaluation out (it pickles ``evaluator`` with
+    each genome); results are keyed by genome, so scheduling order never
     affects the outcome.  In ``meta_predicted`` mode each new finite curve's
     fitness is ``predictor``'s extrapolated final metric, all predicted in
     one batch in sorted key order; a record keeps its fitness for good.

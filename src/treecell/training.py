@@ -35,6 +35,9 @@ class TrainConfig:
         for name in ("unroll_steps", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("dropout_ff", "dropout_rec"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
     def lr_at(self, epoch: int) -> float:
         """SGD's learning rate for a 1-based epoch index."""

@@ -329,18 +329,20 @@ def test_task_data_that_is_not_utf8_names_the_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {corpus}: not UTF-8 text (invalid start byte)\n"
 
 
+EVOLVE_FILES = ("stats.csv", "checkpoint.json", "lineage.log", "best.genome")
+
+
 def test_evolve_resume_finished_run_is_noop(tmp_path, capsys):
+    """A finished run resumes to zero generations and ends like any run."""
     cfg = tiny_config(tmp_path)
     out_dir = tmp_path / "run"
-    main(["evolve", "--config", str(cfg), "--out", str(out_dir)])
-    first = (out_dir / "stats.csv").read_bytes()
+    assert main(["evolve", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    first = {f: (out_dir / f).read_bytes() for f in EVOLVE_FILES}
+    printed = capsys.readouterr().out
     assert main(["evolve", "--config", str(cfg), "--out", str(out_dir),
                  "--resume"]) == 0
-    assert "finished" in capsys.readouterr().out
-    assert (out_dir / "stats.csv").read_bytes() == first
-
-
-EVOLVE_FILES = ("stats.csv", "lineage.log", "best.genome")
+    assert {f: (out_dir / f).read_bytes() for f in EVOLVE_FILES} == first
+    assert capsys.readouterr().out == printed
 
 
 def evolve_outputs(tmp_path, name, generations, resume=False):
@@ -359,25 +361,56 @@ def test_evolve_interrupt_and_resume_matches_straight_run(tmp_path):
     assert resumed == evolve_outputs(tmp_path, "straight", 4)
 
 
-def test_evolve_resume_after_crash_before_checkpoint(tmp_path, monkeypatch):
-    """A crash between the lineage append and the checkpoint write must not
-    duplicate lineage lines on resume."""
-    real_write = cli.atomic_write
-    checkpoints = []
+@pytest.fixture(scope="module")
+def straight_run(tmp_path_factory):
+    """The outputs of a straight 3-generation run."""
+    return evolve_outputs(tmp_path_factory.mktemp("straight"), "straight", 3)
 
-    def crash_on_second_checkpoint(path, content):
-        if Path(path).name == "checkpoint.json":
-            checkpoints.append(path)
-            if len(checkpoints) == 2:
+
+# where a 3-generation run crashes: the nth write of an output file (each
+# generation writes stats.csv, then checkpoint.json; best.genome comes last),
+# or just after the first, a middle or the last lineage line
+CRASH_POINTS = ([pytest.param(name, gen, id=f"gen{gen}-{name}") for gen in range(3)
+                 for name in ("stats.csv", "checkpoint.json")]
+                + [pytest.param("best.genome", 0, id="best.genome")]
+                + [pytest.param("lineage.log", which, id=f"lineage-{which}")
+                   for which in ("first", "middle", "last")])
+
+
+@pytest.mark.parametrize("target, which", CRASH_POINTS)
+def test_evolve_resume_after_crash_before_checkpoint(tmp_path, monkeypatch, straight_run,
+                                                     target, which):
+    """A crash at any output write or lineage line resumes to a straight run's
+    bytes: lines written after the checkpoint are not duplicated, and no file
+    is left unwritten."""
+    calls = []
+    if target == "lineage.log":
+        lines = straight_run["lineage.log"].count(b"\n")
+        crash_at = {"first": 1, "middle": lines // 2, "last": lines}[which]
+        real_record = evolution.LineageLog.record
+
+        def record_then_crash(self, *fields):
+            real_record(self, *fields)
+            calls.append(fields)
+            if len(calls) == crash_at:
                 raise OSError("simulated crash")
-        real_write(path, content)
 
-    monkeypatch.setattr(cli, "atomic_write", crash_on_second_checkpoint)
+        monkeypatch.setattr(evolution.LineageLog, "record", record_then_crash)
+    else:
+        real_write = cli.atomic_write
+
+        def crash_on_write(path, content):
+            if Path(path).name == target:
+                calls.append(path)
+                if len(calls) == which + 1:
+                    raise OSError("simulated crash")
+            real_write(path, content)
+
+        monkeypatch.setattr(cli, "atomic_write", crash_on_write)
     with pytest.raises(OSError, match="simulated crash"):
         evolve_outputs(tmp_path, "crashed", 3)
     monkeypatch.undo()
-    resumed = evolve_outputs(tmp_path, "crashed", 3, resume=True)
-    assert resumed == evolve_outputs(tmp_path, "straight", 3)
+    assert evolve_outputs(tmp_path, "crashed", 3, resume=True) == straight_run
 
 
 def test_meta_cli_round_trip(tmp_path, capsys):
@@ -1044,6 +1077,12 @@ def test_cli_and_pool_workers_apply_the_allocator_setting(tmp_path, monkeypatch)
             initializer()
 
         map = staticmethod(map)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.shutdown()
 
         def shutdown(self):
             pass

@@ -41,10 +41,13 @@ def test_unknown_option_rejected():
     ("evolution", "generations", "0"),
     ("evolution", "generations", "-1"),
     ("task", "name", "foo"),
+    ("task", "name", "music"),            # with no data_path
     ("speciation", "max_active", "0"),
     ("train", "batch_size", "0"),
     ("train", "unroll_steps", "0"),
     ("train", "epochs", "0"),
+    ("train", "dropout_ff", "1.0"),
+    ("train", "dropout_rec", "-0.1"),
     ("meta", "width", "0"),
     ("meta", "layers", "0"),
     ("meta", "epochs", "0"),
@@ -68,7 +71,8 @@ def test_bad_values_rejected_when_a_config_loads(section, option, value):
 def test_only_token_tasks_need_an_embedding():
     with pytest.raises(ValueError, match="embedding_dim must be >= 1 for the char_lm task"):
         parse_config("[task]\nname = char_lm\n[network]\nembedding_dim = 0\n")
-    music = parse_config("[task]\nname = music\n[network]\nembedding_dim = 0\n")
+    music = parse_config("[task]\nname = music\ndata_path = roll.txt\n"
+                         "[network]\nembedding_dim = 0\n")
     assert music.network.embedding_dim == 0
 
 
